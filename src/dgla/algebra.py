@@ -446,10 +446,6 @@ class GeneratorMorphism:
         m._table = tuple(table)
         return m
 
-    @classmethod
-    def identity(cls, context: AlgebraContext) -> GeneratorMorphism:
-        return cls._from_table(context, [(1, i) for i in range(len(context.generators))])
-
     def compose(self, other: GeneratorMorphism) -> GeneratorMorphism:
         """The morphism acting as ``self`` after ``other``."""
         if self.context != other.context:
@@ -725,12 +721,18 @@ def element_from_json_terms(
     return AlgebraElement._make(context, terms)
 
 
-def decode(text: str) -> AlgebraElement:
-    """Parse the canonical JSON series format back into an element."""
+def _load_json(text: str) -> object:
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SeriesParseError(exc.msg, position=exc.pos) from None
+    except RecursionError:
+        raise SeriesParseError("JSON nesting is too deep", position="$") from None
+
+
+def decode(text: str) -> AlgebraElement:
+    """Parse the canonical JSON series format back into an element."""
+    data = _load_json(text)
     context = context_from_json(data)
     _expect(isinstance(data, dict) and "series" in data, "missing series object", "series")
     series = data["series"]
@@ -743,40 +745,39 @@ def decode(text: str) -> AlgebraElement:
 # -- display ------------------------------------------------------------
 
 
-def format_element(x: AlgebraElement) -> str:
-    """Plain-text rendering: signed rational coefficients and spaced words."""
+def _latex_coeff(magnitude: Fraction) -> str:
+    if magnitude.denominator == 1:
+        return f"{magnitude.numerator} \\, "
+    return f"\\tfrac{{{magnitude.numerator}}}{{{magnitude.denominator}}} \\, "
+
+
+# per format: the prefix of a coefficient other than 1, and the sign of a
+# negative leading term
+_STYLES = {"text": (lambda magnitude: f"{magnitude} ", "-"), "latex": (_latex_coeff, "- ")}
+
+
+def _format_terms(x: AlgebraElement, style: str) -> str:
     if not x:
         return "0"
+    coeff_prefix, leading_minus = _STYLES[style]
     chunks: list[str] = []
     for word, coeff in x.terms():
         magnitude = abs(coeff)
-        word_text = " ".join(x.context.word_names(word))
-        body = word_text if magnitude == 1 else f"{magnitude} {word_text}"
+        body = " ".join(x.context.word_names(word))
+        if magnitude != 1:
+            body = coeff_prefix(magnitude) + body
         if not chunks:
-            chunks.append(body if coeff > 0 else f"-{body}")
+            chunks.append(body if coeff > 0 else leading_minus + body)
         else:
             chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
     return " ".join(chunks)
+
+
+def format_element(x: AlgebraElement) -> str:
+    """Plain-text rendering: signed rational coefficients and spaced words."""
+    return _format_terms(x, "text")
 
 
 def format_element_latex(x: AlgebraElement) -> str:
     """Best-effort LaTeX rendering: juxtaposed symbols with rational prefactors."""
-    if not x:
-        return "0"
-    chunks: list[str] = []
-    for word, coeff in x.terms():
-        magnitude = abs(coeff)
-        word_text = " ".join(x.context.word_names(word))
-        if magnitude == 1:
-            body = word_text
-        elif magnitude.denominator == 1:
-            body = f"{magnitude.numerator} \\, {word_text}"
-        else:
-            body = (
-                f"\\tfrac{{{magnitude.numerator}}}{{{magnitude.denominator}}} \\, {word_text}"
-            )
-        if not chunks:
-            chunks.append(body if coeff > 0 else f"- {body}")
-        else:
-            chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(chunks)
+    return _format_terms(x, "latex")

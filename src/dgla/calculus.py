@@ -247,26 +247,32 @@ def apply_operator_series(
     graded-homogeneous; iterated brackets truncate at the context's max
     weight, so the loop stops as soon as a power of ``ad`` vanishes.
     """
+    return _apply_series((phi,), direction, target)[0]
+
+
+def _apply_series(
+    series: Sequence[OperatorSeries], direction: AlgebraElement, target: AlgebraElement
+) -> list[AlgebraElement]:
+    # One walk over ad_direction^k(target) feeds every series; only the
+    # current power and one running sum per series are kept.
     if direction.context != target.context:
         raise GradingError("direction and target must share a context")
     ddeg = direction.homogeneous_degree()
     if ddeg not in (0, None):
         raise GradingError(f"operator direction must have degree 0, got {ddeg}")
     target.homogeneous_degree()  # raises on mixed input
-    coeffs = phi.coeffs
-    zero = target.context.zero()
-    if not coeffs:
-        return zero
-    result = coeffs.get(0, Fraction(0)) * target
+    results = [phi.coeffs.get(0, Fraction(0)) * target for phi in series]
+    top = max((max(phi.coeffs) for phi in series if phi.coeffs), default=0)
     current = target
-    for k in range(1, max(coeffs) + 1):
+    for k in range(1, top + 1):
         current = bracket(direction, current)
         if not current:
             break
-        c = coeffs.get(k)
-        if c:
-            result = result + c * current
-    return result
+        for i, phi in enumerate(series):
+            c = phi.coeffs.get(k)
+            if c:
+                results[i] = results[i] + c * current
+    return results
 
 
 # -- exponentials, logarithms, BCH ---------------------------------------
@@ -342,8 +348,14 @@ def bch(
 # -- differentials and flows ----------------------------------------------
 
 
-def _resolve_generator(context: AlgebraContext, g: Generator | str) -> Generator:
-    return context.generator(g if isinstance(g, str) else g.name)
+def _edge_generators(context: AlgebraContext, *cells: Generator | str) -> list[AlgebraElement]:
+    # the edge and its source and target, as elements, after the degree check
+    e, a, b = (context.generator(g if isinstance(g, str) else g.name) for g in cells)
+    if e.degree != 0 or a.degree != -1 or b.degree != -1:
+        raise GradingError(
+            "edge differential needs a degree-0 edge and degree -1 endpoints"
+        )
+    return [context.gen(g.name) for g in (e, a, b)]
 
 
 def edge_differential(
@@ -358,17 +370,10 @@ def edge_differential(
     on the target vertex, both at ``T = ad_edge``, truncated at the
     context's max weight.  The weight-1 part is ``target - source``.
     """
-    e = _resolve_generator(context, edge)
-    a = _resolve_generator(context, source)
-    b = _resolve_generator(context, target)
-    if e.degree != 0 or a.degree != -1 or b.degree != -1:
-        raise GradingError(
-            "edge differential needs a degree-0 edge and degree -1 endpoints"
-        )
+    e, a, b = _edge_generators(context, edge, source, target)
     order = context.max_weight - 1
-    e_el = context.gen(e.name)
-    left = OperatorSeries.edge_source_series(order).apply(e_el, context.gen(a.name))
-    right = OperatorSeries.edge_target_series(order).apply(e_el, context.gen(b.name))
+    left = OperatorSeries.edge_source_series(order).apply(e, a)
+    right = OperatorSeries.edge_target_series(order).apply(e, b)
     return left + right
 
 
@@ -384,21 +389,12 @@ def edge_differential_bernoulli(
     the operator-series form so the two independent routes can be
     compared exactly at every order.
     """
-    e = _resolve_generator(context, edge)
-    a = _resolve_generator(context, source)
-    b = _resolve_generator(context, target)
-    if e.degree != 0 or a.degree != -1 or b.degree != -1:
-        raise GradingError(
-            "edge differential needs a degree-0 edge and degree -1 endpoints"
-        )
+    e, a, b = _edge_generators(context, edge, source, target)
     order = context.max_weight - 1
-    e_el = context.gen(e.name)
-    b_el = context.gen(b.name)
-    difference = b_el - context.gen(a.name)
     facts = _factorials(order)
     table = _bernoulli_table(order)
     series = OperatorSeries({k: table[k] / facts[k] for k in range(order + 1)})
-    return bracket(e_el, b_el) + series.apply(e_el, difference)
+    return bracket(e, b) + series.apply(e, b - a)
 
 
 def extend_differential(model: "CellModel", x: AlgebraElement) -> AlgebraElement:
@@ -487,15 +483,27 @@ def flow(
     for unit time.  The zero element is flowed as a degree -1 initial
     condition (its orbit sweeps the component of 0).
     """
-    time = as_fraction(t)
+    return _flows(model, direction, start, (t,))[0]
+
+
+def _flows(
+    model: "CellModel",
+    direction: AlgebraElement,
+    start: AlgebraElement,
+    times: Sequence[int | Fraction],
+) -> list[AlgebraElement]:
+    # flow(model, direction, start, t) for each t, from one ad pass over
+    # start and one over D(direction)
+    times = [as_fraction(t) for t in times]
     ddeg = direction.homogeneous_degree()
     if ddeg not in (0, None):
         raise GradingError(f"flow direction must have degree 0, got {ddeg}")
     degree = start.homogeneous_degree()
     order = model.context.max_weight - 1
-    moved = OperatorSeries.exponential(-time, order).apply(direction, start)
+    moved = _apply_series([OperatorSeries.exponential(-t, order) for t in times], direction, start)
     if degree is not None and degree >= 0:
         return moved
     source = extend_differential(model, direction)
-    pushed = OperatorSeries.flow_integrator(time, order).apply(direction, source)
-    return moved + pushed
+    integrators = [OperatorSeries.flow_integrator(t, order) for t in times]
+    pushed = _apply_series(integrators, direction, source)
+    return [m + p for m, p in zip(moved, pushed)]

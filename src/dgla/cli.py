@@ -215,8 +215,11 @@ def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text + "\n")
     else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write output {path!r}: {exc.strerror or exc}") from None
 
 
 # -- subcommands ----------------------------------------------------------
@@ -374,10 +377,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SeriesParseError as exc:
+    except (UsageError, SeriesParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

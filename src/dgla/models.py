@@ -8,8 +8,12 @@ differential ``-1/2 [a, a]``, edges the Bernoulli edge series), the
 disc with a single vertex, the two bigon models based at a vertex, and
 the dihedrally symmetric bigon based at the midpoint.
 
-Builders and :func:`compute_symmetric_data` are memoized; models are
-immutable, so the cached instances are safe to share.
+Every builder verifies the model it returns and raises
+:class:`RuntimeError` naming the failed checks.  The checks run once
+per model instance; :func:`verify_model` returns that stored result
+instead of recomputing it.  Builders and :func:`compute_symmetric_data`
+are memoized; models are immutable, so the cached instances are safe
+to share.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 from .algebra import (
@@ -25,6 +29,7 @@ from .algebra import (
     AlgebraElement,
     GeneratorMorphism,
     SeriesParseError,
+    _load_json,
     apply_morphism,
     bracket,
     context_from_json,
@@ -34,10 +39,10 @@ from .algebra import (
 )
 from .calculus import (
     OperatorSeries,
+    _flows,
     bch,
     edge_differential,
     extend_differential,
-    flow,
     maurer_cartan_defect,
 )
 
@@ -103,6 +108,11 @@ class CellModel:
     differential: Mapping[str, AlgebraElement]
     closure: Mapping[str, frozenset[str]]
     order: int
+
+    @cached_property
+    def _checks(self) -> tuple[ModelCheck, ...]:
+        # computed once per instance; a dataclasses.replace copy starts afresh
+        return _model_checks(self)
 
 
 @dataclass(frozen=True)
@@ -177,14 +187,11 @@ def _vertex_differential(context: AlgebraContext, name: str) -> AlgebraElement:
     return Fraction(-1, 2) * bracket(v, v)
 
 
-def _check_d_squared(model: CellModel) -> None:
-    for g in model.context.generators:
-        square = extend_differential(model, model.differential[g.name])
-        if square:
-            raise RuntimeError(
-                f"differential fails to square to zero on {g.name!r}; "
-                f"weights {square.weights()}"
-            )
+def _verified(model: CellModel) -> CellModel:
+    failed = [check.name for check in model._checks if not check.passed]
+    if failed:
+        raise RuntimeError(f"model fails its checks: {', '.join(failed)}")
+    return model
 
 
 def build_one_complex(complex_: OneComplex, order: int = 6) -> CellModel:
@@ -203,9 +210,7 @@ def build_one_complex(complex_: OneComplex, order: int = 6) -> CellModel:
         boundary0[name] = context.gen(target) - context.gen(source)
         differential[name] = edge_differential(context, name, source, target)
         closure[name] = frozenset({name, source, target})
-    model = CellModel(context, boundary0, differential, closure, order)
-    _check_d_squared(model)
-    return model
+    return _verified(CellModel(context, boundary0, differential, closure, order))
 
 
 def build_disc_one_vertex(order: int = 6) -> CellModel:
@@ -223,9 +228,7 @@ def build_disc_one_vertex(order: int = 6) -> CellModel:
         "e": frozenset({"a", "e"}),
         "g": frozenset({"a", "e", "g"}),
     }
-    model = CellModel(context, boundary0, differential, closure, order)
-    _check_d_squared(model)
-    return model
+    return _verified(CellModel(context, boundary0, differential, closure, order))
 
 
 def _bigon_context(order: int) -> AlgebraContext:
@@ -276,9 +279,7 @@ def build_bigon_based(base: str = "a", order: int = 6) -> CellModel:
         differential["g"] = bch([e, f]) - bracket(context.gen("a"), g)
     else:
         differential["g"] = bch([f, e]) - bracket(context.gen("b"), g)
-    model = CellModel(context, boundary0, differential, closure, order)
-    _check_d_squared(model)
-    return model
+    return _verified(CellModel(context, boundary0, differential, closure, order))
 
 
 @lru_cache(maxsize=None)
@@ -302,12 +303,12 @@ def compute_symmetric_data(order: int = 6) -> SymmetricBigonData:
     half = Fraction(1, 2)
     loop = bch([e, f])
     v = bch([-half * loop, e])
-    x = flow(circle, v, a, half)
+    x, unit_time = _flows(circle, v, a, (half, 1))
     q = bch([-half * v, e, f, half * v])
     transported = OperatorSeries.exponential(-half, order - 1).apply(v, loop)
     if q != transported:
         raise RuntimeError("kernel element disagrees with its conjugation form")
-    if flow(circle, v, a, 1) != b:
+    if unit_time != b:
         raise RuntimeError("unit-time flow by the midpoint direction misses the far vertex")
     return SymmetricBigonData(v=v, x=x, q=q)
 
@@ -320,9 +321,7 @@ def build_bigon_symmetric(order: int = 6) -> CellModel:
     q = data.q.in_context(context)
     x = data.x.in_context(context)
     differential["g"] = q - bracket(x, context.gen("g"))
-    model = CellModel(context, boundary0, differential, closure, order)
-    _check_d_squared(model)
-    return model
+    return _verified(CellModel(context, boundary0, differential, closure, order))
 
 
 MODEL_NAMES = ("point", "interval", "circle2", "disc1", "bigon-a", "bigon-b", "bigon-sym")
@@ -386,14 +385,21 @@ def symmetry_morphism(model_name: str, context: AlgebraContext, which: str) -> G
 
 
 def verify_model(model: CellModel, subject: str = "model") -> VerificationReport:
-    """Run the defining checks of a cell model and report each outcome.
+    """Report the outcome of each defining check of a cell model.
 
     Checks, per generator where applicable: the differential squares to
     zero at the model's order; vertices satisfy the flatness equation;
     the weight-1 part of each differential equals the stored geometric
     boundary; each differential only involves generators in the closure
     of its cell.  Failures carry the offending element as a witness.
+    The checks run once per model instance, so a model returned by a
+    builder (which has already verified it) is reported without
+    recomputation.
     """
+    return VerificationReport(subject, model.order, model._checks)
+
+
+def _model_checks(model: CellModel) -> tuple[ModelCheck, ...]:
     checks: list[ModelCheck] = []
     context = model.context
     for g in context.generators:
@@ -421,7 +427,7 @@ def verify_model(model: CellModel, subject: str = "model") -> VerificationReport
                 stray[word] = coeff
         witness = AlgebraElement._make(context, stray)
         checks.append(ModelCheck(f"locality[{g.name}]", not witness, witness or None))
-    return VerificationReport(subject, model.order, tuple(checks))
+    return tuple(checks)
 
 
 def check_equivariance(
@@ -533,8 +539,4 @@ def encode_model(model: CellModel, name: str) -> str:
 
 
 def decode_model(text: str) -> tuple[str, CellModel]:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SeriesParseError(exc.msg, position=exc.pos) from None
-    return model_from_json_dict(data)
+    return model_from_json_dict(_load_json(text))

@@ -285,6 +285,10 @@ class TestSerialization:
             decode("{not json")
         assert isinstance(info.value.position, int)
 
+    def test_deep_nesting_rejected(self):
+        with pytest.raises(SeriesParseError):
+            decode("[" * 100000)
+
     def test_out_of_order_terms_rejected(self):
         el = CTX.gen("e") + CTX.gen("f")
         payload = json.loads(encode(el))

@@ -47,6 +47,14 @@ class TestBernoulliCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_unwritable_output(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "bernoulli", "3", "--output", str(tmp_path / "missing" / "x")
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestExpandCommand:
     def test_kernel_element_weight_three_text(self, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import dgla.models
 from dgla import (
     OneComplex,
     OperatorSeries,
@@ -21,6 +22,7 @@ from dgla import (
     encode_model,
     extend_differential,
     flow,
+    interval_complex,
     maurer_cartan_defect,
     model_from_json_dict,
     model_to_json_dict,
@@ -55,6 +57,31 @@ class TestBuilders:
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_all_models_verify_at_low_order(self, name):
         assert verify_model(build_named_model(name, 4)).overall
+
+    def test_build_then_verify_computes_d_squared_once(self, monkeypatch):
+        calls = []
+        original = dgla.models.extend_differential
+
+        def counting(model, x):
+            calls.append(x)
+            return original(model, x)
+
+        build_named_model.cache_clear()
+        monkeypatch.setattr(dgla.models, "extend_differential", counting)
+        model = build_named_model("circle2", 4)
+        assert verify_model(model, subject="circle2").overall
+        assert len(calls) == len(model.context.generators)  # one square per generator
+
+    def test_builder_rejects_a_model_failing_its_checks(self, monkeypatch):
+        original = dgla.models.edge_differential
+
+        def stray_term(context, edge, source, target):
+            extra = bracket(context.gen(edge), context.gen(source))
+            return original(context, edge, source, target) + extra
+
+        monkeypatch.setattr(dgla.models, "edge_differential", stray_term)
+        with pytest.raises(RuntimeError, match=r"d_squared_zero\[e\]"):
+            build_one_complex(interval_complex(), 4)
 
     def test_point_model(self):
         model = build_named_model("point", 6)
@@ -343,6 +370,10 @@ class TestModelEnvelope:
     def test_decode_model_syntax_error(self):
         with pytest.raises(SeriesParseError):
             decode_model("{")
+
+    def test_decode_model_deep_nesting_rejected(self):
+        with pytest.raises(SeriesParseError):
+            decode_model("[" * 100000)
 
     def test_envelope_is_valid_json(self, circle):
         json.loads(encode_model(circle, "circle2"))
