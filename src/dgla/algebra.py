@@ -8,10 +8,17 @@ commutator ``[x, y] = x y - (-1)^{|x||y|} y x``, which makes every
 Koszul sign a mechanical consequence of generator parities and reduces
 equality of Lie elements to exact equality of word coefficients.
 
-Scalars are :class:`fractions.Fraction` throughout; floats are rejected
-at the boundary.  All types are immutable after construction and safe
-to share between threads, and the module-level operations are pure
-functions: identical inputs always produce identical canonical output.
+Stored coefficients and every scalar at the API are canonical
+:class:`fractions.Fraction` values; floats are rejected at the
+boundary.  The hot kernels (the product, the bracket and running sums
+of series) do not compute in ``Fraction``: they read an element as
+integer numerators over one common denominator, grouped by weight, so
+that only weight buckets fitting under the truncation are paired and
+the inner loops multiply and add plain integers.  One ``Fraction`` is
+built per output word when a result is stored.  All types are
+immutable after construction and safe to share between threads, and
+the module-level operations are pure functions: identical inputs
+always produce identical canonical output.
 """
 
 from __future__ import annotations
@@ -346,20 +353,11 @@ class AlgebraElement:
 
     def _concat(self, other: AlgebraElement) -> AlgebraElement:
         """Associative product, truncated at the context's max weight."""
-        limit = self.context.max_weight
-        out: dict[Word, Fraction] = {}
-        right = other._terms.items()
-        for u, cu in self._terms.items():
-            room = limit - len(u)
-            if room < 1:
-                continue
-            for v, cv in right:
-                if len(v) > room:
-                    continue
-                w = u + v
-                prev = out.get(w)
-                out[w] = cu * cv if prev is None else prev + cu * cv
-        return AlgebraElement._make(self.context, out)
+        left_den, left = _graded(self)
+        right_den, right = _graded(other)
+        out: dict[Word, int] = {}
+        _add_products(out, left, right, self.context.max_weight, 1)
+        return _from_numerators(self.context, out, left_den * right_den)
 
     def in_context(self, context: AlgebraContext) -> AlgebraElement:
         """Re-express this element in another context.
@@ -400,6 +398,99 @@ class AlgebraElement:
         if len(text) > 120:
             text = text[:117] + "..."
         return f"<AlgebraElement {text}>"
+
+
+# -- integer kernels -------------------------------------------------------
+#
+# Coefficients are stored as Fractions, but the kernels below read an
+# element as integer numerators over one common denominator, grouped by
+# weight.  Nothing of this view is kept on the element: it is rebuilt
+# per call, which costs one pass over the terms.
+
+_Graded = list[list[tuple[Word, int]]]
+
+
+def _graded(x: AlgebraElement) -> tuple[int, _Graded]:
+    """``(den, buckets)``: ``buckets[k]`` lists ``(word, n)`` for the
+    weight-``k`` words of ``x``, whose coefficient is ``n / den``."""
+    terms = x._terms
+    den = math.lcm(*{c.denominator for c in terms.values()})
+    buckets: _Graded = [[] for _ in range(x.context.max_weight + 1)]
+    for word, c in terms.items():
+        buckets[len(word)].append((word, c.numerator * (den // c.denominator)))
+    return den, buckets
+
+
+def _reduced(numerators: dict[Word, int], den: int, limit: int) -> tuple[int, _Graded]:
+    """Kernel output back in ``_graded`` form: zeros dropped, and ``den``
+    and the numerators divided by their gcd, which leaves the least
+    common denominator of the coefficients."""
+    kept = {w: n for w, n in numerators.items() if n}
+    common = math.gcd(den, *kept.values())
+    buckets: _Graded = [[] for _ in range(limit + 1)]
+    for w, n in kept.items():
+        buckets[len(w)].append((w, n // common))
+    return den // common, buckets
+
+
+def _from_numerators(context: AlgebraContext, numerators: dict[Word, int], den: int) -> AlgebraElement:
+    # the one place kernel results become Fractions: one per nonzero word
+    el = AlgebraElement.__new__(AlgebraElement)
+    el.context = context
+    el._terms = {w: Fraction(n, den) for w, n in numerators.items() if n}
+    return el
+
+
+def _add_products(out: dict[Word, int], left: _Graded, right: _Graded, limit: int, sign: int) -> None:
+    """Add ``sign * a * b`` to ``out[u + v]`` for every left term ``(u, a)``
+    and right term ``(v, b)`` whose weights sum to at most ``limit``."""
+    get = out.get
+    for weight in range(1, limit):
+        us = left[weight]
+        if not us:
+            continue
+        fits = [t for bucket in right[1 : limit - weight + 1] for t in bucket]
+        for u, a in us:
+            a *= sign
+            for v, b in fits:
+                w = u + v
+                out[w] = get(w, 0) + a * b
+
+
+class _LinearSum:
+    """A running sum ``sum_k c_k x_k`` of elements with rational weights.
+
+    It holds integer numerators over one denominator, the lcm of the
+    denominators added so far; the numerators are rescaled only when
+    that lcm grows.  :meth:`element` builds the result's Fractions once.
+    """
+
+    __slots__ = ("context", "den", "numerators")
+
+    def __init__(self, context: AlgebraContext) -> None:
+        self.context = context
+        self.den = 1
+        self.numerators: dict[Word, int] = {}
+
+    def add(self, scalar: Fraction, x_den: int, buckets: _Graded) -> None:
+        """Add ``scalar`` times the element ``(x_den, buckets)`` in the
+        form :func:`_graded` returns."""
+        term_den = scalar.denominator * x_den
+        den = math.lcm(self.den, term_den)
+        numerators = self.numerators
+        if den != self.den:
+            grow = den // self.den
+            for w in numerators:
+                numerators[w] *= grow
+            self.den = den
+        scale = scalar.numerator * (den // term_den)
+        get = numerators.get
+        for bucket in buckets:
+            for w, n in bucket:
+                numerators[w] = get(w, 0) + scale * n
+
+    def element(self) -> AlgebraElement:
+        return _from_numerators(self.context, self.numerators, self.den)
 
 
 class GeneratorMorphism:
@@ -512,9 +603,13 @@ def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     q = y.homogeneous_degree()
     if p is None or q is None:
         return x.context.zero()
-    if p % 2 and q % 2:
-        return x._concat(y) + y._concat(x)
-    return x._concat(y) - y._concat(x)
+    limit = x.context.max_weight
+    x_den, gx = _graded(x)
+    y_den, gy = _graded(y)
+    out: dict[Word, int] = {}
+    _add_products(out, gx, gy, limit, 1)
+    _add_products(out, gy, gx, limit, 1 if p % 2 and q % 2 else -1)
+    return _from_numerators(x.context, out, x_den * y_den)
 
 
 def weight_component(x: AlgebraElement, k: int) -> AlgebraElement:
@@ -632,8 +727,11 @@ def _parse_coeff(raw: object, path: str) -> Fraction:
     match = _COEFF_RE.match(raw)  # type: ignore[arg-type]
     _expect(match is not None, f"coefficient {raw!r} is not of the form p/q with q > 0", path)
     sign, num, den = match.groups()  # type: ignore[union-attr]
-    numerator = int(num)
-    denominator = int(den)
+    try:
+        numerator = int(num)
+        denominator = int(den)
+    except ValueError as exc:  # more digits than the interpreter converts
+        raise SeriesParseError(str(exc), position=path) from None
     _expect(numerator != 0, "zero coefficients are never stored", path)
     _expect(
         math.gcd(numerator, denominator) == 1,
@@ -728,6 +826,8 @@ def _load_json(text: str) -> object:
         raise SeriesParseError(exc.msg, position=exc.pos) from None
     except RecursionError:
         raise SeriesParseError("JSON nesting is too deep", position="$") from None
+    except ValueError as exc:  # a number past the interpreter's digit limit
+        raise SeriesParseError(str(exc), position="$") from None
 
 
 def decode(text: str) -> AlgebraElement:

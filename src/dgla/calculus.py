@@ -21,6 +21,7 @@ computed twice).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -30,6 +31,12 @@ from .algebra import (
     AlgebraElement,
     Generator,
     GradingError,
+    Word,
+    _add_products,
+    _from_numerators,
+    _graded,
+    _LinearSum,
+    _reduced,
     as_fraction,
     bracket,
 )
@@ -261,18 +268,25 @@ def _apply_series(
     if ddeg not in (0, None):
         raise GradingError(f"operator direction must have degree 0, got {ddeg}")
     target.homogeneous_degree()  # raises on mixed input
-    results = [phi.coeffs.get(0, Fraction(0)) * target for phi in series]
+    limit = target.context.max_weight
+    sums = [_LinearSum(target.context) for _ in series]
     top = max((max(phi.coeffs) for phi in series if phi.coeffs), default=0)
-    current = target
-    for k in range(1, top + 1):
-        current = bracket(direction, current)
-        if not current:
-            break
-        for i, phi in enumerate(series):
+    step_den, step = _graded(direction)
+    den, current = _graded(target)
+    for k in range(top + 1):
+        if k:
+            # ad_direction of a degree-0 direction: d c - c d
+            out: dict[Word, int] = {}
+            _add_products(out, step, current, limit, 1)
+            _add_products(out, current, step, limit, -1)
+            den, current = _reduced(out, den * step_den, limit)
+            if not any(current):
+                break
+        for total, phi in zip(sums, series):
             c = phi.coeffs.get(k)
             if c:
-                results[i] = results[i] + c * current
-    return results
+                total.add(c, den, current)
+    return [total.element() for total in sums]
 
 
 # -- exponentials, logarithms, BCH ---------------------------------------
@@ -289,28 +303,31 @@ def exp_assoc(x: AlgebraElement) -> AlgebraElement:
     degree = x.homogeneous_degree()
     if degree is not None and degree % 2:
         raise GradingError(f"exponential of an odd element (degree {degree}) is undefined")
-    acc = x
-    power = x
-    factorial = 1
-    for k in range(2, x.context.max_weight + 1):
-        power = power * x
-        if not power:
-            break
-        factorial *= k
-        acc = acc + Fraction(1, factorial) * power
-    return acc
+    facts = _factorials(x.context.max_weight)
+    return _power_series(x, {k: Fraction(1, facts[k]) for k in range(1, len(facts))})
 
 
 def log_assoc(z: AlgebraElement) -> AlgebraElement:
     """The truncated logarithm of ``1 + z``; inverse of :func:`exp_assoc`."""
-    acc = z
-    power = z
-    for k in range(2, z.context.max_weight + 1):
-        power = power * z
-        if not power:
-            break
-        acc = acc + Fraction((-1) ** (k + 1), k) * power
-    return acc
+    limit = z.context.max_weight
+    return _power_series(z, {k: Fraction((-1) ** (k + 1), k) for k in range(1, limit + 1)})
+
+
+def _power_series(x: AlgebraElement, coeffs: Mapping[int, Fraction]) -> AlgebraElement:
+    # sum_{k>=1} coeffs[k] x^k, keeping one power at a time
+    limit = x.context.max_weight
+    total = _LinearSum(x.context)
+    x_den, factor = _graded(x)
+    den, power = x_den, factor
+    for k in range(1, limit + 1):
+        if k > 1:
+            out: dict[Word, int] = {}
+            _add_products(out, power, factor, limit, 1)
+            den, power = _reduced(out, den * x_den, limit)
+            if not any(power):
+                break
+        total.add(coeffs[k], den, power)
+    return total.element()
 
 
 def _unital_product(z1: AlgebraElement, z2: AlgebraElement) -> AlgebraElement:
@@ -410,31 +427,43 @@ def extend_differential(model: "CellModel", x: AlgebraElement) -> AlgebraElement
     if x.context != context:
         raise ModelError("element does not belong to the model's context")
     x.homogeneous_degree()  # raises on mixed input
-    differential = model.differential
-    generators = context.generators
+    differentials = {}
+    for letter in sorted({letter for word in x._terms for letter in word}):
+        name = context.generators[letter].name
+        assigned = model.differential.get(name)
+        if assigned is None:
+            raise ModelError(f"generator {name!r} has no differential assignment")
+        differentials[letter] = _graded(assigned)
+    # the differentials of x's letters as numerators over one shared denominator
+    shared = math.lcm(*(den for den, _ in differentials.values()))
+    graded = {
+        letter: [[(u, n * (shared // den)) for u, n in bucket] for bucket in buckets]
+        for letter, (den, buckets) in differentials.items()
+    }
     parities = context._parities
     limit = context.max_weight
-    out: dict[tuple[int, ...], Fraction] = {}
-    for word, coeff in x._terms.items():
-        sign = 1
-        for position, letter in enumerate(word):
-            name = generators[letter].name
-            assigned = differential.get(name)
-            if assigned is None:
-                raise ModelError(f"generator {name!r} has no differential assignment")
-            prefix = word[:position]
-            suffix = word[position + 1 :]
-            room = limit - len(word) + 1
-            scale = coeff if sign > 0 else -coeff
-            for u, cu in assigned._terms.items():
-                if len(u) > room:
-                    continue
-                w = prefix + u + suffix
-                prev = out.get(w)
-                out[w] = scale * cu if prev is None else prev + scale * cu
-            if parities[letter]:
-                sign = -sign
-    return AlgebraElement._make(context, out)
+    x_den, x_buckets = _graded(x)
+    out: dict[Word, int] = {}
+    get = out.get
+    for weight, bucket in enumerate(x_buckets):
+        if not bucket:
+            continue
+        # a letter of a weight-`weight` word may be replaced by at most `room` letters
+        room = limit - weight + 1
+        fits = {
+            letter: [t for part in buckets[1 : room + 1] for t in part]
+            for letter, buckets in graded.items()
+        }
+        for word, a in bucket:
+            for position, letter in enumerate(word):
+                prefix = word[:position]
+                suffix = word[position + 1 :]
+                for u, b in fits[letter]:
+                    w = prefix + u + suffix
+                    out[w] = get(w, 0) + a * b
+                if parities[letter]:
+                    a = -a
+    return _from_numerators(context, out, x_den * shared)
 
 
 def maurer_cartan_defect(model: "CellModel", p: AlgebraElement) -> AlgebraElement:

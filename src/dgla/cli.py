@@ -40,6 +40,11 @@ DEFAULT_ORDER_CAP = 10
 
 EXPAND_LABELS = ("v", "x", "q", "Dv", "De", "Df", "Dg")
 
+# Deepest bch(...) nesting an expression may use.  The parser recurses
+# once per level, so this keeps it far below the interpreter's recursion
+# limit.
+MAX_BCH_NESTING = 64
+
 
 class UsageError(Exception):
     pass
@@ -95,6 +100,7 @@ class _ExprParser:
             self.tokens.append((kind, match.group(kind), match.start(kind)))
             pos = match.end()
         self.cursor = 0
+        self.depth = 0
 
     def _peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.cursor] if self.cursor < len(self.tokens) else None
@@ -162,6 +168,11 @@ class _ExprParser:
         if kind != "name":
             raise UsageError(f"expected a generator or bch(...) at offset {offset} in {self.text!r}")
         if value == "bch":
+            if self.depth == MAX_BCH_NESTING:
+                raise UsageError(
+                    f"bch(...) nested deeper than {MAX_BCH_NESTING} levels at offset {offset}"
+                )
+            self.depth += 1
             self._expect_symbol("(")
             arguments = [self._expr()]
             while True:
@@ -172,6 +183,7 @@ class _ExprParser:
                 else:
                     break
             self._expect_symbol(")")
+            self.depth -= 1
             return bch(arguments, context=self.context)
         try:
             return self.context.gen(value)

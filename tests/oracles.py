@@ -2,15 +2,69 @@
 
 These deliberately avoid the code paths they are used to check: the
 Bernoulli oracle uses the binomial recurrence instead of series
-division, and the flow oracle integrates the defining ODE weight by
-weight with exact polynomial coefficients instead of evaluating the
-closed-form operator series.
+division; the product, bracket and Leibniz oracles multiply one pair
+of terms at a time in ``Fraction`` arithmetic, reading elements only
+through ``terms()`` and rebuilding them through ``AlgebraContext.element``;
+and the flow oracle integrates the defining ODE weight by weight with
+exact polynomial coefficients, using those kernels, instead of
+evaluating the closed-form operator series.
 """
 
 from fractions import Fraction
 from math import comb
 
-from dgla import bracket, extend_differential, weight_component
+from dgla import weight_component
+
+
+def naive_product(x, y):
+    """The concatenation product, one term pair at a time, dropping
+    every word longer than the truncation order."""
+    ctx = x.context
+    out = {}
+    for u, cu in x.terms():
+        for v, cv in y.terms():
+            if len(u) + len(v) <= ctx.max_weight:
+                out[u + v] = out.get(u + v, Fraction(0)) + cu * cv
+    return ctx.element(out)
+
+
+def naive_bracket(x, y):
+    """The graded commutator ``x y - (-1)^{|x||y|} y x``."""
+    p, q = x.homogeneous_degree(), y.homogeneous_degree()
+    if p is None or q is None:
+        return x.context.zero()
+    sign = -1 if p * q % 2 else 1
+    return naive_product(x, y) - sign * naive_product(y, x)
+
+
+def naive_leibniz(model, x):
+    """The model's differential extended to ``x`` as an odd derivation:
+    each letter of each word is replaced in turn by its differential,
+    with the sign ``(-1)`` to the number of odd letters before it."""
+    ctx = model.context
+    out = {}
+    for word, c in x.terms():
+        sign = 1
+        for position, letter in enumerate(word):
+            generator = ctx.generators[letter]
+            for u, cu in model.differential[generator.name].terms():
+                if len(word) - 1 + len(u) <= ctx.max_weight:
+                    w = word[:position] + u + word[position + 1 :]
+                    out[w] = out.get(w, Fraction(0)) + sign * c * cu
+            if generator.degree % 2:
+                sign = -sign
+    return ctx.element(out)
+
+
+def naive_operator_series(coeffs, direction, target):
+    """``sum_k coeffs[k] ad_direction^k (target)`` for a mapping ``coeffs``."""
+    total = target.context.zero()
+    power = target
+    for k in range(max(coeffs, default=0) + 1):
+        if k:
+            power = naive_bracket(direction, power)
+        total = total + Fraction(coeffs.get(k, 0)) * power
+    return total
 
 
 def bernoulli_recurrence(n: int) -> Fraction:
@@ -37,7 +91,7 @@ def iterative_flow(model, direction, start, t):
     degree = start.homogeneous_degree()
     include_source = degree is None or degree == -1
     zero = ctx.zero()
-    source = extend_differential(model, direction) if include_source else zero
+    source = naive_leibniz(model, direction) if include_source else zero
 
     direction_parts = {}
     for k in range(1, order + 1):
@@ -56,7 +110,7 @@ def iterative_flow(model, direction, start, t):
                 while len(rhs) <= j:
                     rhs.append(zero)
                 if coefficient:
-                    rhs[j] = rhs[j] - bracket(e_i, coefficient)
+                    rhs[j] = rhs[j] - naive_bracket(e_i, coefficient)
         poly = [weight_component(start, k)]
         for j, r in enumerate(rhs):
             poly.append(Fraction(1, j + 1) * r)

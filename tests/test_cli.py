@@ -7,7 +7,7 @@ import pytest
 
 from dgla import bch, bracket, build_named_model, decode, decode_model, weight_component
 from dgla.algebra import AlgebraContext
-from dgla.cli import main
+from dgla.cli import MAX_BCH_NESTING, main
 
 
 def run_cli(capsys, *argv):
@@ -257,6 +257,21 @@ class TestBchCommand:
         code, _, err = run_cli(capsys, "bch", "--gens", "x=0", "x")
         assert code == 2
         assert "error:" in err
+
+    def test_nesting_at_the_limit_is_accepted(self, capsys):
+        nested = "bch(" * MAX_BCH_NESTING + "x" + ")" * MAX_BCH_NESTING
+        code, out, _ = run_cli(capsys, "bch", "--gens", "x:0", "--format", "text", nested)
+        assert code == 0
+        assert out == "x\n"
+
+    def test_too_deep_nesting_rejected(self):
+        # deep enough to exhaust the interpreter's recursion limit
+        nested = "bch(" * 3000 + "x" + ")" * 3000
+        result = run_subprocess("bch", "--gens", "x:0", nested)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
 
 
 class TestUsageErrors:

@@ -3,6 +3,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dgla.models
 from dgla import (
@@ -17,8 +19,10 @@ from dgla import (
     check_equivariance,
     compare_reference_second_order,
     compute_symmetric_data,
+    decode,
     decode_model,
     disc_reflection_morphism,
+    encode,
     encode_model,
     extend_differential,
     flow,
@@ -377,6 +381,80 @@ class TestModelEnvelope:
 
     def test_envelope_is_valid_json(self, circle):
         json.loads(encode_model(circle, "circle2"))
+
+
+def _json_values():
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.floats()
+        | st.text(max_size=8)
+        | st.sampled_from(["1/2", "-3/1", "0/1", "2/4", "1/-2", "a", "e", "g", "x"])
+    )
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+        max_leaves=12,
+    )
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+@st.composite
+def _mutated_payloads(draw):
+    # a valid series or model payload with one subtree replaced, so that
+    # validation deep inside the schema is reached
+    circle = build_named_model("circle2", 3)
+    ctx = circle.context
+    bases = [
+        json.loads(encode(bch([ctx.gen("e"), Fraction(1, 3) * ctx.gen("f")]), label="s")),
+        model_to_json_dict(circle, "circle2"),
+    ]
+    base = draw(st.sampled_from(bases))
+    path = draw(st.sampled_from(list(_paths(base))))
+    return json.dumps(_replaced(base, path, draw(_json_values())))
+
+
+class TestDecoderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.text(),
+            st.text(alphabet='{}[]",:0123456789-/. aegnt'),
+            _json_values().map(json.dumps),
+            _mutated_payloads(),
+        )
+    )
+    def test_only_series_parse_error_escapes(self, text):
+        for decoder in (decode, decode_model):
+            try:
+                decoder(text)
+            except SeriesParseError:
+                pass
+
+    def test_overlong_numbers_rejected(self):
+        # longer than the interpreter's limit on int <-> str conversion
+        for decoder in (decode, decode_model):
+            with pytest.raises(SeriesParseError):
+                decoder("1" * 5000)
+        payload = json.loads(encode(build_named_model("circle2", 3).differential["a"]))
+        payload["series"]["terms"][0]["coeff"] = "1/" + "3" * 5000
+        with pytest.raises(SeriesParseError):
+            decode(json.dumps(payload))
 
 
 class TestGenericOneComplex:
