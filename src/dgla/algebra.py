@@ -8,17 +8,22 @@ commutator ``[x, y] = x y - (-1)^{|x||y|} y x``, which makes every
 Koszul sign a mechanical consequence of generator parities and reduces
 equality of Lie elements to exact equality of word coefficients.
 
-Stored coefficients and every scalar at the API are canonical
-:class:`fractions.Fraction` values; floats are rejected at the
-boundary.  The hot kernels (the product, the bracket and running sums
-of series) do not compute in ``Fraction``: they read an element as
-integer numerators over one common denominator, grouped by weight, so
-that only weight buckets fitting under the truncation are paired and
-the inner loops multiply and add plain integers.  One ``Fraction`` is
-built per output word when a result is stored.  All types are
-immutable after construction and safe to share between threads, and
-the module-level operations are pure functions: identical inputs
-always produce identical canonical output.
+An element stores one positive integer denominator and a map from
+words to nonzero integer numerators, reduced so that the denominator is
+the least common denominator of the coefficients.  That form is unique,
+so equality is a plain comparison, and every operation computes in
+integers: sums rescale to the lcm of the denominators, products
+multiply numerators and denominators, and the product kernels pair
+only the weight buckets that fit under the truncation.  This module is
+the only one that knows the format.  :class:`fractions.Fraction` values
+are read in only by :meth:`AlgebraContext.element` (and the
+:class:`AlgebraElement` constructor it uses) and built only by
+:meth:`AlgebraElement.terms` and :meth:`AlgebraElement.coefficient`,
+which the serialisation and display code read; every scalar at the API
+is an :class:`int` or :class:`Fraction`, and floats are rejected.  All
+types are immutable after construction and safe to share between
+threads, and the module-level operations are pure functions: identical
+inputs always produce identical canonical output.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Word = tuple[int, ...]
 
@@ -156,11 +161,11 @@ class AlgebraContext:
             raise KeyError(f"no generator named {name!r} in this context") from None
 
     def zero(self) -> AlgebraElement:
-        return AlgebraElement._make(self, {})
+        return _element(self, {}, 1)
 
     def gen(self, name: str) -> AlgebraElement:
         """The generator ``name`` as a weight-1 element."""
-        return AlgebraElement._make(self, {(self._index_by_name[name],): Fraction(1)})
+        return _element(self, {(self._index_by_name[name],): 1}, 1)
 
     def word(self, letters: Sequence[str], coeff: int | Fraction = 1) -> AlgebraElement:
         """A single associative word with the given coefficient."""
@@ -173,19 +178,11 @@ class AlgebraContext:
 
         Words may be given as tuples of generator indices or sequences
         of generator names.  Zero coefficients and words heavier than
-        ``max_weight`` are dropped; empty words are rejected (the
-        algebra never stores a weight-0 part).
+        ``max_weight`` are dropped, and coefficients of words that name
+        the same word are summed; empty words are rejected (the algebra
+        never stores a weight-0 part).
         """
-        out: dict[Word, Fraction] = {}
-        for raw_word, raw_coeff in terms.items():
-            coeff = as_fraction(raw_coeff)
-            if not coeff:
-                continue
-            word = self._normalize_word(raw_word)
-            if len(word) > self.max_weight:
-                continue
-            out[word] = out.get(word, Fraction(0)) + coeff
-        return AlgebraElement._make(self, out)
+        return AlgebraElement(self, terms)
 
     def word_degree(self, word: Word) -> int:
         degrees = self._degrees
@@ -231,9 +228,15 @@ class AlgebraContext:
 class AlgebraElement:
     """A truncated series in the tensor algebra of a context.
 
-    The term map never stores zero coefficients or words heavier than
-    the context's truncation order.  Instances are immutable; all
-    arithmetic returns new elements.
+    The stored form is one positive denominator ``_den`` and a map
+    ``_num`` from words to nonzero integer numerators, the coefficient
+    of a word being ``_num[word] / _den``.  The gcd of ``_den`` and all
+    numerators is 1, so ``_den`` is the least common denominator of the
+    coefficients and the form is unique; no word is heavier than the
+    context's truncation order.  Instances are immutable; all
+    arithmetic returns new elements.  ``_degree`` keeps the result of
+    :meth:`homogeneous_degree` once known; :func:`bracket` sets it on
+    its result.
 
     Supported arithmetic: ``+``, ``-``, unary ``-``, scalar
     multiplication by :class:`int` or :class:`Fraction` on either side,
@@ -241,45 +244,50 @@ class AlgebraElement:
     graded Lie bracket is the module function :func:`bracket`.
     """
 
-    __slots__ = ("context", "_terms")
+    __slots__ = ("context", "_den", "_num", "_degree")
     __hash__ = None  # term maps are dicts; value equality only
 
     def __init__(
         self,
         context: AlgebraContext,
-        terms: Mapping[Word, int | Fraction],
+        terms: Mapping[Sequence[str] | Word, int | Fraction],
     ) -> None:
-        cleaned: dict[Word, Fraction] = {}
-        for word, raw in terms.items():
-            coeff = as_fraction(raw)
+        # the conversion from Fractions that AlgebraContext.element uses
+        coeffs: dict[Word, Fraction] = {}
+        for raw_word, raw_coeff in terms.items():
+            coeff = as_fraction(raw_coeff)
             if not coeff:
                 continue
-            normalized = context._normalize_word(word)
-            if len(normalized) > context.max_weight:
-                continue
-            cleaned[normalized] = coeff
-        self.context = context
-        self._terms = cleaned
+            word = context._normalize_word(raw_word)
+            if len(word) <= context.max_weight:
+                coeffs[word] = coeffs.get(word, 0) + coeff
+        self._store(context, *_over_lcd(coeffs))
 
-    @classmethod
-    def _make(cls, context: AlgebraContext, terms: dict[Word, Fraction]) -> AlgebraElement:
-        # internal fast path: words already canonical, only zeros to drop
-        el = cls.__new__(cls)
-        el.context = context
-        el._terms = {w: c for w, c in terms.items() if c}
-        return el
+    def _store(self, context: AlgebraContext, numerators: dict[Word, int], den: int) -> AlgebraElement:
+        # The one constructor of the stored form: zero numerators dropped
+        # and the gcd divided out, leaving the least common denominator.
+        kept = {w: n for w, n in numerators.items() if n}
+        common = math.gcd(den, *kept.values())
+        self.context = context
+        self._den = den // common
+        self._num = kept if common == 1 else {w: n // common for w, n in kept.items()}
+        return self
 
     # -- inspection ---------------------------------------------------
 
     def terms(self) -> Iterator[tuple[Word, Fraction]]:
         """Terms in canonical order: weight ascending, then lexicographic."""
-        return iter(sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0])))
+        den = self._den
+        return (
+            (w, Fraction(self._num[w], den))
+            for w in sorted(self._num, key=lambda w: (len(w), w))
+        )
 
     def coefficient(self, word: Sequence[str] | Word) -> Fraction:
-        return self._terms.get(self.context._normalize_word(word), Fraction(0))
+        return Fraction(self._num.get(self.context._normalize_word(word), 0), self._den)
 
     def weights(self) -> tuple[int, ...]:
-        return tuple(sorted({len(w) for w in self._terms}))
+        return tuple(sorted({len(w) for w in self._num}))
 
     def homogeneous_degree(self) -> int | None:
         """The common degree of all words; ``None`` for the zero element.
@@ -287,16 +295,19 @@ class AlgebraElement:
         The zero element is homogeneous of every degree.  Mixed-degree
         elements raise :class:`GradingError`.
         """
+        try:
+            return self._degree  # computed on the first call
+        except AttributeError:
+            pass
         word_degree = self.context.word_degree
-        degrees = {word_degree(w) for w in self._terms}
-        if not degrees:
-            return None
+        degrees = {word_degree(w) for w in self._num}
         if len(degrees) > 1:
             raise GradingError(f"element has mixed degrees {sorted(degrees)}")
-        return degrees.pop()
+        self._degree = degrees.pop() if degrees else None
+        return self._degree
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     # -- linear structure ---------------------------------------------
 
@@ -305,41 +316,48 @@ class AlgebraElement:
             raise ContextMismatchError("elements belong to different contexts")
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.context == other.context and self._terms == other._terms
+        return (
+            self.context == other.context
+            and self._den == other._den
+            and self._num == other._num
+        )
 
     def __add__(self, other: AlgebraElement) -> AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        self._require_same_context(other)
-        out = dict(self._terms)
-        for word, coeff in other._terms.items():
-            prev = out.get(word)
-            out[word] = coeff if prev is None else prev + coeff
-        return AlgebraElement._make(self.context, out)
+        return self._plus(1, other)
 
     def __sub__(self, other: AlgebraElement) -> AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
+        return self._plus(-1, other)
+
+    def _plus(self, sign: int, other: AlgebraElement) -> AlgebraElement:
+        # self + sign * other, over the lcm of the two denominators
         self._require_same_context(other)
-        out = dict(self._terms)
-        for word, coeff in other._terms.items():
-            prev = out.get(word)
-            out[word] = -coeff if prev is None else prev - coeff
-        return AlgebraElement._make(self.context, out)
+        den = math.lcm(self._den, other._den)
+        grow = den // self._den
+        scale = sign * (den // other._den)
+        out = {w: n * grow for w, n in self._num.items()}
+        get = out.get
+        for w, n in other._num.items():
+            out[w] = get(w, 0) + scale * n
+        return _element(self.context, out, den)
 
     def __neg__(self) -> AlgebraElement:
-        return AlgebraElement._make(self.context, {w: -c for w, c in self._terms.items()})
+        return _element(self.context, {w: -n for w, n in self._num.items()}, self._den)
 
     def _scaled(self, scalar: Fraction) -> AlgebraElement:
-        if not scalar:
-            return self.context.zero()
-        return AlgebraElement._make(
-            self.context, {w: c * scalar for w, c in self._terms.items()}
+        factor = scalar.numerator
+        return _element(
+            self.context,
+            {w: n * factor for w, n in self._num.items()},
+            self._den * scalar.denominator,
         )
 
     def __mul__(self, other: AlgebraElement | int | Fraction) -> AlgebraElement:
@@ -353,11 +371,9 @@ class AlgebraElement:
 
     def _concat(self, other: AlgebraElement) -> AlgebraElement:
         """Associative product, truncated at the context's max weight."""
-        left_den, left = _graded(self)
-        right_den, right = _graded(other)
         out: dict[Word, int] = {}
-        _add_products(out, left, right, self.context.max_weight, 1)
-        return _from_numerators(self.context, out, left_den * right_den)
+        _add_products(out, _by_weight(self), _by_weight(other), self.context.max_weight, 1)
+        return _element(self.context, out, self._den * other._den)
 
     def in_context(self, context: AlgebraContext) -> AlgebraElement:
         """Re-express this element in another context.
@@ -378,12 +394,12 @@ class AlgebraElement:
                         f"target context, expected {g.degree}"
                     )
                 index_map[g.index] = target.index
-        out: dict[Word, Fraction] = {}
-        for word, coeff in self._terms.items():
+        out: dict[Word, int] = {}
+        for word, n in self._num.items():
             if len(word) > context.max_weight:
                 continue
             try:
-                out[tuple(index_map[i] for i in word)] = coeff
+                out[tuple(index_map[i] for i in word)] = n
             except KeyError:
                 missing = {self.context.generators[i].name for i in word} - set(
                     context.names
@@ -391,7 +407,7 @@ class AlgebraElement:
                 raise ContextMismatchError(
                     f"target context lacks generators {sorted(missing)}"
                 ) from None
-        return AlgebraElement._make(context, out)
+        return _element(context, out, self._den)
 
     def __repr__(self) -> str:
         text = format_element(self)
@@ -400,48 +416,31 @@ class AlgebraElement:
         return f"<AlgebraElement {text}>"
 
 
+def _element(context: AlgebraContext, numerators: dict[Word, int], den: int) -> AlgebraElement:
+    """The element with coefficients ``numerators[w] / den``, ``den > 0``."""
+    return AlgebraElement.__new__(AlgebraElement)._store(context, numerators, den)
+
+
+def _over_lcd(coeffs: Mapping[Word, Fraction]) -> tuple[dict[Word, int], int]:
+    """Coefficients as integer numerators over their least common denominator."""
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    return {w: c.numerator * (den // c.denominator) for w, c in coeffs.items()}, den
+
+
 # -- integer kernels -------------------------------------------------------
-#
-# Coefficients are stored as Fractions, but the kernels below read an
-# element as integer numerators over one common denominator, grouped by
-# weight.  Nothing of this view is kept on the element: it is rebuilt
-# per call, which costs one pass over the terms.
 
-_Graded = list[list[tuple[Word, int]]]
+_Buckets = list[list[tuple[Word, int]]]
 
 
-def _graded(x: AlgebraElement) -> tuple[int, _Graded]:
-    """``(den, buckets)``: ``buckets[k]`` lists ``(word, n)`` for the
-    weight-``k`` words of ``x``, whose coefficient is ``n / den``."""
-    terms = x._terms
-    den = math.lcm(*{c.denominator for c in terms.values()})
-    buckets: _Graded = [[] for _ in range(x.context.max_weight + 1)]
-    for word, c in terms.items():
-        buckets[len(word)].append((word, c.numerator * (den // c.denominator)))
-    return den, buckets
+def _by_weight(x: AlgebraElement) -> _Buckets:
+    """``buckets[k]`` lists ``(word, numerator)`` for the weight-``k`` words of ``x``."""
+    buckets: _Buckets = [[] for _ in range(x.context.max_weight + 1)]
+    for term in x._num.items():
+        buckets[len(term[0])].append(term)
+    return buckets
 
 
-def _reduced(numerators: dict[Word, int], den: int, limit: int) -> tuple[int, _Graded]:
-    """Kernel output back in ``_graded`` form: zeros dropped, and ``den``
-    and the numerators divided by their gcd, which leaves the least
-    common denominator of the coefficients."""
-    kept = {w: n for w, n in numerators.items() if n}
-    common = math.gcd(den, *kept.values())
-    buckets: _Graded = [[] for _ in range(limit + 1)]
-    for w, n in kept.items():
-        buckets[len(w)].append((w, n // common))
-    return den // common, buckets
-
-
-def _from_numerators(context: AlgebraContext, numerators: dict[Word, int], den: int) -> AlgebraElement:
-    # the one place kernel results become Fractions: one per nonzero word
-    el = AlgebraElement.__new__(AlgebraElement)
-    el.context = context
-    el._terms = {w: Fraction(n, den) for w, n in numerators.items() if n}
-    return el
-
-
-def _add_products(out: dict[Word, int], left: _Graded, right: _Graded, limit: int, sign: int) -> None:
+def _add_products(out: dict[Word, int], left: _Buckets, right: _Buckets, limit: int, sign: int) -> None:
     """Add ``sign * a * b`` to ``out[u + v]`` for every left term ``(u, a)``
     and right term ``(v, b)`` whose weights sum to at most ``limit``."""
     get = out.get
@@ -457,12 +456,54 @@ def _add_products(out: dict[Word, int], left: _Graded, right: _Graded, limit: in
                 out[w] = get(w, 0) + a * b
 
 
+def _odd_derivation(x: AlgebraElement, image: Callable[[str], AlgebraElement]) -> AlgebraElement:
+    """The odd derivation that sends each generator named ``name`` to
+    ``image(name)``, applied to ``x``.
+
+    It acts letter by letter with the Koszul sign
+    ``D(uv) = (Du) v + (-1)^{|u|} u (Dv)``, and is asked only for the
+    images of the letters that occur in ``x``.
+    """
+    context = x.context
+    letters = sorted({letter for word in x._num for letter in word})
+    images = {letter: image(context.generators[letter].name) for letter in letters}
+    # the images as numerators over one shared denominator, grouped by weight
+    shared = math.lcm(*(d._den for d in images.values()))
+    graded = {
+        letter: [[(u, n * (shared // d._den)) for u, n in bucket] for bucket in _by_weight(d)]
+        for letter, d in images.items()
+    }
+    parities = context._parities
+    limit = context.max_weight
+    out: dict[Word, int] = {}
+    get = out.get
+    for weight, bucket in enumerate(_by_weight(x)):
+        if not bucket:
+            continue
+        # a letter of a weight-`weight` word may be replaced by at most `room` letters
+        room = limit - weight + 1
+        fits = {
+            letter: [t for part in buckets[1 : room + 1] for t in part]
+            for letter, buckets in graded.items()
+        }
+        for word, a in bucket:
+            for position, letter in enumerate(word):
+                prefix = word[:position]
+                suffix = word[position + 1 :]
+                for u, b in fits[letter]:
+                    w = prefix + u + suffix
+                    out[w] = get(w, 0) + a * b
+                if parities[letter]:
+                    a = -a
+    return _element(context, out, x._den * shared)
+
+
 class _LinearSum:
     """A running sum ``sum_k c_k x_k`` of elements with rational weights.
 
     It holds integer numerators over one denominator, the lcm of the
     denominators added so far; the numerators are rescaled only when
-    that lcm grows.  :meth:`element` builds the result's Fractions once.
+    that lcm grows.  :meth:`element` reduces the sum once, at the end.
     """
 
     __slots__ = ("context", "den", "numerators")
@@ -472,10 +513,9 @@ class _LinearSum:
         self.den = 1
         self.numerators: dict[Word, int] = {}
 
-    def add(self, scalar: Fraction, x_den: int, buckets: _Graded) -> None:
-        """Add ``scalar`` times the element ``(x_den, buckets)`` in the
-        form :func:`_graded` returns."""
-        term_den = scalar.denominator * x_den
+    def add(self, scalar: Fraction, x: AlgebraElement) -> None:
+        """Add ``scalar * x``."""
+        term_den = scalar.denominator * x._den
         den = math.lcm(self.den, term_den)
         numerators = self.numerators
         if den != self.den:
@@ -485,12 +525,11 @@ class _LinearSum:
             self.den = den
         scale = scalar.numerator * (den // term_den)
         get = numerators.get
-        for bucket in buckets:
-            for w, n in bucket:
-                numerators[w] = get(w, 0) + scale * n
+        for w, n in x._num.items():
+            numerators[w] = get(w, 0) + scale * n
 
     def element(self) -> AlgebraElement:
-        return _from_numerators(self.context, self.numerators, self.den)
+        return _element(self.context, self.numerators, self.den)
 
 
 class GeneratorMorphism:
@@ -604,12 +643,14 @@ def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     if p is None or q is None:
         return x.context.zero()
     limit = x.context.max_weight
-    x_den, gx = _graded(x)
-    y_den, gy = _graded(y)
+    gx, gy = _by_weight(x), _by_weight(y)
     out: dict[Word, int] = {}
     _add_products(out, gx, gy, limit, 1)
     _add_products(out, gy, gx, limit, 1 if p % 2 and q % 2 else -1)
-    return _from_numerators(x.context, out, x_den * y_den)
+    result = _element(x.context, out, x._den * y._den)
+    if result:
+        result._degree = p + q
+    return result
 
 
 def weight_component(x: AlgebraElement, k: int) -> AlgebraElement:
@@ -618,9 +659,7 @@ def weight_component(x: AlgebraElement, k: int) -> AlgebraElement:
         raise ValueError(
             f"weight must lie in 1..{x.context.max_weight}, got {k!r}"
         )
-    return AlgebraElement._make(
-        x.context, {w: c for w, c in x._terms.items() if len(w) == k}
-    )
+    return _element(x.context, {w: n for w, n in x._num.items() if len(w) == k}, x._den)
 
 
 def apply_morphism(m: GeneratorMorphism, x: AlgebraElement) -> AlgebraElement:
@@ -628,16 +667,16 @@ def apply_morphism(m: GeneratorMorphism, x: AlgebraElement) -> AlgebraElement:
     if m.context != x.context:
         raise ContextMismatchError("morphism and element belong to different contexts")
     table = m._table
-    out: dict[Word, Fraction] = {}
-    for word, coeff in x._terms.items():
+    out: dict[Word, int] = {}
+    for word, n in x._num.items():
         sign = 1
         letters = []
         for i in word:
             s, j = table[i]
             sign *= s
             letters.append(j)
-        out[tuple(letters)] = coeff if sign > 0 else -coeff
-    return AlgebraElement._make(x.context, out)
+        out[tuple(letters)] = sign * n
+    return _element(x.context, out, x._den)
 
 
 def is_primitive(x: AlgebraElement, wmax: int) -> bool:
@@ -655,8 +694,8 @@ def is_primitive(x: AlgebraElement, wmax: int) -> bool:
     if not isinstance(wmax, int) or isinstance(wmax, bool) or not 1 <= wmax <= limit:
         raise ValueError(f"wmax must lie in 1..{limit}, got {wmax!r}")
     parities = x.context._parities
-    reduced: dict[tuple[Word, Word], Fraction] = {}
-    for word, coeff in x._terms.items():
+    reduced: dict[tuple[Word, Word], int] = {}
+    for word, n in x._num.items():
         k = len(word)
         if k < 2 or k > wmax:
             continue  # weight-1 words are primitive by definition
@@ -676,9 +715,7 @@ def is_primitive(x: AlgebraElement, wmax: int) -> bool:
                     right.append(word[pos])
                     odd_right_seen += word_parities[pos]
             key = (tuple(left), tuple(right))
-            prev = reduced.get(key)
-            term = coeff if sign > 0 else -coeff
-            reduced[key] = term if prev is None else prev + term
+            reduced[key] = reduced.get(key, 0) + sign * n
     return all(not c for c in reduced.values())
 
 
@@ -816,7 +853,7 @@ def element_from_json_terms(
         )
         previous_key = key
         terms[word] = coeff
-    return AlgebraElement._make(context, terms)
+    return _element(context, *_over_lcd(terms))
 
 
 def _load_json(text: str) -> object:

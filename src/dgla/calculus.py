@@ -21,7 +21,6 @@ computed twice).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -31,12 +30,8 @@ from .algebra import (
     AlgebraElement,
     Generator,
     GradingError,
-    Word,
-    _add_products,
-    _from_numerators,
-    _graded,
     _LinearSum,
-    _reduced,
+    _odd_derivation,
     as_fraction,
     bracket,
 )
@@ -268,24 +263,18 @@ def _apply_series(
     if ddeg not in (0, None):
         raise GradingError(f"operator direction must have degree 0, got {ddeg}")
     target.homogeneous_degree()  # raises on mixed input
-    limit = target.context.max_weight
     sums = [_LinearSum(target.context) for _ in series]
     top = max((max(phi.coeffs) for phi in series if phi.coeffs), default=0)
-    step_den, step = _graded(direction)
-    den, current = _graded(target)
+    current = target
     for k in range(top + 1):
         if k:
-            # ad_direction of a degree-0 direction: d c - c d
-            out: dict[Word, int] = {}
-            _add_products(out, step, current, limit, 1)
-            _add_products(out, current, step, limit, -1)
-            den, current = _reduced(out, den * step_den, limit)
-            if not any(current):
+            current = bracket(direction, current)
+            if not current:
                 break
         for total, phi in zip(sums, series):
             c = phi.coeffs.get(k)
             if c:
-                total.add(c, den, current)
+                total.add(c, current)
     return [total.element() for total in sums]
 
 
@@ -315,18 +304,14 @@ def log_assoc(z: AlgebraElement) -> AlgebraElement:
 
 def _power_series(x: AlgebraElement, coeffs: Mapping[int, Fraction]) -> AlgebraElement:
     # sum_{k>=1} coeffs[k] x^k, keeping one power at a time
-    limit = x.context.max_weight
     total = _LinearSum(x.context)
-    x_den, factor = _graded(x)
-    den, power = x_den, factor
-    for k in range(1, limit + 1):
+    power = x
+    for k in range(1, x.context.max_weight + 1):
         if k > 1:
-            out: dict[Word, int] = {}
-            _add_products(out, power, factor, limit, 1)
-            den, power = _reduced(out, den * x_den, limit)
-            if not any(power):
+            power = power * x
+            if not power:
                 break
-        total.add(coeffs[k], den, power)
+        total.add(coeffs[k], power)
     return total.element()
 
 
@@ -423,47 +408,17 @@ def extend_differential(model: "CellModel", x: AlgebraElement) -> AlgebraElement
     elements this restricts to the graded Lie derivation
     ``D[x, y] = [Dx, y] + (-1)^{|x|} [x, Dy]``.
     """
-    context = model.context
-    if x.context != context:
+    if x.context != model.context:
         raise ModelError("element does not belong to the model's context")
     x.homogeneous_degree()  # raises on mixed input
-    differentials = {}
-    for letter in sorted({letter for word in x._terms for letter in word}):
-        name = context.generators[letter].name
-        assigned = model.differential.get(name)
-        if assigned is None:
+
+    def assigned(name: str) -> AlgebraElement:
+        image = model.differential.get(name)
+        if image is None:
             raise ModelError(f"generator {name!r} has no differential assignment")
-        differentials[letter] = _graded(assigned)
-    # the differentials of x's letters as numerators over one shared denominator
-    shared = math.lcm(*(den for den, _ in differentials.values()))
-    graded = {
-        letter: [[(u, n * (shared // den)) for u, n in bucket] for bucket in buckets]
-        for letter, (den, buckets) in differentials.items()
-    }
-    parities = context._parities
-    limit = context.max_weight
-    x_den, x_buckets = _graded(x)
-    out: dict[Word, int] = {}
-    get = out.get
-    for weight, bucket in enumerate(x_buckets):
-        if not bucket:
-            continue
-        # a letter of a weight-`weight` word may be replaced by at most `room` letters
-        room = limit - weight + 1
-        fits = {
-            letter: [t for part in buckets[1 : room + 1] for t in part]
-            for letter, buckets in graded.items()
-        }
-        for word, a in bucket:
-            for position, letter in enumerate(word):
-                prefix = word[:position]
-                suffix = word[position + 1 :]
-                for u, b in fits[letter]:
-                    w = prefix + u + suffix
-                    out[w] = get(w, 0) + a * b
-                if parities[letter]:
-                    a = -a
-    return _from_numerators(context, out, x_den * shared)
+        return image
+
+    return _odd_derivation(x, assigned)
 
 
 def maurer_cartan_defect(model: "CellModel", p: AlgebraElement) -> AlgebraElement:

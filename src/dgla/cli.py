@@ -8,7 +8,6 @@ stderr.  Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from fractions import Fraction
@@ -36,7 +35,8 @@ from .models import (
 )
 
 DEFAULT_ORDER = 6
-DEFAULT_ORDER_CAP = 10
+# Highest supported --order; bernoulli accepts indices up to twice this.
+MAX_ORDER = 10
 
 EXPAND_LABELS = ("v", "x", "q", "Dv", "De", "Df", "Dg")
 
@@ -56,29 +56,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _order_cap() -> int:
-    raw = os.environ.get("DGLA_MAX_ORDER")
-    if raw is None:
-        return DEFAULT_ORDER_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise UsageError(f"DGLA_MAX_ORDER must be an integer, got {raw!r}")
-    if cap < 1:
-        raise UsageError(f"DGLA_MAX_ORDER must be positive, got {cap}")
-    return cap
-
-
 def _validate_order(order: int) -> int:
-    cap = _order_cap()
-    if not 1 <= order <= cap:
-        raise UsageError(f"--order must lie in 1..{cap}, got {order}")
+    if not 1 <= order <= MAX_ORDER:
+        raise UsageError(f"--order must lie in 1..{MAX_ORDER}, got {order}")
     return order
 
 
 # -- bch expression language -------------------------------------------
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<sym>[-+*/(),]))")
+
+
+def _integer(digits: str, offset: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than the interpreter converts
+        raise UsageError(f"integer at offset {offset} has too many digits") from None
 
 
 class _ExprParser:
@@ -153,14 +146,15 @@ class _ExprParser:
         kind, value, offset = self._next()
         if kind != "int":
             raise UsageError(f"expected a rational at offset {offset} in {self.text!r}")
-        numerator = int(value)
+        numerator = _integer(value, offset)
         token = self._peek()
         if token and token[0] == "sym" and token[1] == "/":
             self._next()
             kind, den, offset = self._next()
-            if kind != "int" or int(den) == 0:
+            denominator = _integer(den, offset) if kind == "int" else 0
+            if not denominator:
                 raise UsageError(f"bad denominator at offset {offset} in {self.text!r}")
-            return Fraction(numerator, int(den))
+            return Fraction(numerator, denominator)
         return Fraction(numerator)
 
     def _atom(self) -> AlgebraElement:
@@ -296,7 +290,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_bernoulli(args: argparse.Namespace) -> int:
-    cap = 2 * _order_cap()
+    cap = 2 * MAX_ORDER
     if not 0 <= args.n <= cap:
         raise UsageError(f"n must lie in 0..{cap}, got {args.n}")
     value = bernoulli(args.n)

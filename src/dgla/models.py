@@ -421,11 +421,13 @@ def _model_checks(model: CellModel) -> tuple[ModelCheck, ...]:
         )
     for g in context.generators:
         allowed = {context.generator(name).index for name in model.closure[g.name]}
-        stray: dict = {}
-        for word, coeff in model.differential[g.name]._terms.items():
-            if not set(word) <= allowed:
-                stray[word] = coeff
-        witness = AlgebraElement._make(context, stray)
+        witness = context.element(
+            {
+                word: coeff
+                for word, coeff in model.differential[g.name].terms()
+                if not set(word) <= allowed
+            }
+        )
         checks.append(ModelCheck(f"locality[{g.name}]", not witness, witness or None))
     return tuple(checks)
 

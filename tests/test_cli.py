@@ -161,16 +161,12 @@ class TestModelCommand:
         assert code == 2
         assert "error:" in err
 
-    def test_order_cap_raised_by_env(self, capsys, monkeypatch):
+    def test_order_cap_ignores_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("DGLA_MAX_ORDER", "12")
-        code, out, _ = run_cli(capsys, "model", "point", "--order", "12")
-        assert code == 0
-        assert json.loads(out)["order"] == 12
-
-    def test_bad_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("DGLA_MAX_ORDER", "many")
-        code, _, err = run_cli(capsys, "model", "point")
+        code, out, err = run_cli(capsys, "model", "point", "--order", "11")
         assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestVerifyCommand:
@@ -263,6 +259,16 @@ class TestBchCommand:
         code, out, _ = run_cli(capsys, "bch", "--gens", "x:0", "--format", "text", nested)
         assert code == 0
         assert out == "x\n"
+
+    @pytest.mark.parametrize("prefix", ["", "1/"])
+    def test_overlong_integer_rejected(self, capsys, prefix):
+        # past the interpreter's 4300-digit limit on int() conversion
+        expression = prefix + "1" * 5000 + "*x"
+        code, out, err = run_cli(capsys, "bch", "--gens", "x:0", expression)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
     def test_too_deep_nesting_rejected(self):
         # deep enough to exhaust the interpreter's recursion limit

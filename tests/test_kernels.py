@@ -1,6 +1,7 @@
 """The integer product, bracket, Leibniz and series kernels against the
 per-term ``Fraction`` oracles, on elements whose coefficients mix
-denominators across weights, at truncation orders 3 to 6."""
+denominators across weights, at truncation orders 3 to 6; and the
+reduced stored form of the result of every operation."""
 
 from fractions import Fraction
 from math import gcd
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from dgla import (
     AlgebraContext,
     OperatorSeries,
+    apply_morphism,
     apply_operator_series,
     bracket,
     build_named_model,
@@ -18,6 +20,8 @@ from dgla import (
     extend_differential,
     flow,
     log_assoc,
+    rotation_morphism,
+    weight_component,
 )
 from oracles import (
     iterative_flow,
@@ -36,22 +40,29 @@ KERNEL_SETTINGS = settings(max_examples=40, deadline=None)
 
 def assert_canonical(x):
     """No stored zero, no overweight word, every coefficient a Fraction
-    in lowest terms with a positive denominator."""
+    in lowest terms with a positive denominator, and ``x`` equal to the
+    element rebuilt from its terms: the stored form is the unique one."""
     for word, c in x.terms():
         assert type(c) is Fraction
         assert c != 0
         assert c.denominator > 0
         assert gcd(c.numerator, c.denominator) == 1
         assert 1 <= len(word) <= x.context.max_weight
+    assert x == x.context.element(dict(x.terms()))
 
 
 @st.composite
-def graded_elements(draw, context, degree, weights=None):
+def graded_elements(draw, context, degree, weights=None, fractional=None):
     """A degree-``degree`` element; each weight draws its own denominator,
-    and each term scales it by a small factor."""
+    and each term scales it by a small factor.  With ``fractional=k``
+    only the weight-``k`` coefficients may have denominators."""
     degrees = [g.degree for g in context.generators]
     last_letters = {d: [i for i, g in enumerate(degrees) if g == d] for d in set(degrees)}
-    per_weight = {k: draw(st.sampled_from(DENOMINATORS)) for k in range(1, context.max_weight + 1)}
+    per_weight = {
+        k: draw(st.sampled_from(DENOMINATORS)) if fractional in (None, k) else 1
+        for k in range(1, context.max_weight + 1)
+    }
+    factors = st.sampled_from((1, 2, 3))
     choices = st.sampled_from(weights) if weights else st.integers(1, context.max_weight)
     terms = {}
     for _ in range(draw(st.integers(0, 7))):
@@ -62,7 +73,8 @@ def graded_elements(draw, context, degree, weights=None):
             continue
         word = tuple(head) + (draw(st.sampled_from(last_letters[needed])),)
         numerator = draw(st.integers(-12, 12))
-        terms[word] = Fraction(numerator, per_weight[k] * draw(st.sampled_from((1, 2, 3))))
+        factor = draw(factors) if fractional in (None, k) else 1
+        terms[word] = Fraction(numerator, per_weight[k] * factor)
     return context.element(terms)
 
 
@@ -185,3 +197,49 @@ class TestFlow:
         assert got == iterative_flow(model, direction, start, t)
         assert_canonical(got)
 
+
+
+class TestCanonicalForm:
+    @KERNEL_SETTINGS
+    @given(st.sampled_from(ORDERS), st.integers(-1, 1), st.data())
+    def test_every_operation_stores_the_reduced_form(self, order, degree, data):
+        ctx = CONTEXTS[order]
+        fractional = data.draw(st.one_of(st.none(), st.integers(1, order)))
+        x = data.draw(graded_elements(ctx, degree, fractional=fractional))
+        y = data.draw(graded_elements(ctx, degree, fractional=fractional))
+        direction = data.draw(graded_elements(ctx, 0, fractional=fractional))
+        scalar = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=9))
+        coeffs = data.draw(series_coefficients(order))
+        model = build_named_model("bigon-a", order)
+        results = [
+            x + y,
+            x - y,
+            x - x,
+            -x,
+            scalar * x,
+            x * 0,
+            x * y,
+            bracket(x, y),
+            bracket(direction, x),
+            apply_morphism(rotation_morphism(ctx), x),
+            x.in_context(AlgebraContext(BIGON_LETTERS, max_weight=order - 1)),
+            exp_assoc(direction),
+            log_assoc(x),
+            extend_differential(model, x),
+            apply_operator_series(OperatorSeries(coeffs), direction, x),
+        ]
+        results += [weight_component(x, k) for k in range(1, order + 1)]
+        for result in results:
+            assert_canonical(result)
+
+    @KERNEL_SETTINGS
+    @given(st.sampled_from(ORDERS), st.integers(-1, 1), st.data())
+    def test_truncation_reduces_the_denominator(self, order, degree, data):
+        # every denominator sits on the heaviest words, which the lower
+        # order drops: what is left has integer coefficients
+        ctx = CONTEXTS[order]
+        x = data.draw(graded_elements(ctx, degree, fractional=order))
+        lower = x.in_context(AlgebraContext(BIGON_LETTERS, max_weight=order - 1))
+        assert all(c.denominator == 1 for _, c in lower.terms())
+        assert_canonical(lower)
+        assert_canonical(weight_component(x, order))
