@@ -48,7 +48,6 @@ __all__ = [
     "apply_morphism",
     "as_fraction",
     "bracket",
-    "combine",
     "context_from_json",
     "decode",
     "element_from_json_terms",
@@ -616,18 +615,6 @@ def _parse_morphism_target(target: str | tuple[int, str]) -> tuple[int, str]:
 
 
 # -- operations --------------------------------------------------------
-
-
-def combine(
-    c1: int | Fraction,
-    x: AlgebraElement,
-    c2: int | Fraction,
-    y: AlgebraElement,
-) -> AlgebraElement:
-    """The linear combination ``c1*x + c2*y`` in canonical form."""
-    if x.context != y.context:
-        raise ContextMismatchError("elements belong to different contexts")
-    return x._scaled(as_fraction(c1)) + y._scaled(as_fraction(c2))
 
 
 def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .algebra import (
     AlgebraContext,
@@ -141,11 +141,7 @@ def bernoulli(n: int) -> Fraction:
 class OperatorSeries:
     """A polynomial ``sum_k c_k T^k`` awaiting ``T = ad`` of a direction.
 
-    Coefficients are canonical rationals with zeros dropped.  Addition,
-    subtraction, negation and scalar multiplication act coefficientwise;
-    :meth:`compose` multiplies series, which is composition of the
-    corresponding operators once both are specialized to the same
-    direction.
+    Coefficients are canonical rationals with zeros dropped.
     """
 
     __slots__ = ("coeffs",)
@@ -160,10 +156,6 @@ class OperatorSeries:
             if value:
                 cleaned[k] = value
         self.coeffs = cleaned
-
-    @classmethod
-    def from_coefficients(cls, seq: Sequence[int | Fraction]) -> OperatorSeries:
-        return cls(enumerate(seq))
 
     @classmethod
     def exponential(cls, scale: int | Fraction, order: int) -> OperatorSeries:
@@ -198,40 +190,6 @@ class OperatorSeries:
         x = [Fraction(0), Fraction(1)]
         return cls(enumerate(_series_quotient(x, _one_minus_exp(order + 1, -1), order)))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OperatorSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __add__(self, other: OperatorSeries) -> OperatorSeries:
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return OperatorSeries(out)
-
-    def __sub__(self, other: OperatorSeries) -> OperatorSeries:
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) - c
-        return OperatorSeries(out)
-
-    def __neg__(self) -> OperatorSeries:
-        return OperatorSeries({k: -c for k, c in self.coeffs.items()})
-
-    def __rmul__(self, scalar: int | Fraction) -> OperatorSeries:
-        s = as_fraction(scalar)
-        return OperatorSeries({k: s * c for k, c in self.coeffs.items()})
-
-    def compose(self, other: OperatorSeries, order: int | None = None) -> OperatorSeries:
-        """Series product; equals operator composition at a common direction."""
-        out: dict[int, Fraction] = {}
-        for i, ci in self.coeffs.items():
-            for j, cj in other.coeffs.items():
-                if order is not None and i + j > order:
-                    continue
-                out[i + j] = out.get(i + j, Fraction(0)) + ci * cj
-        return OperatorSeries(out)
-
     def apply(self, direction: AlgebraElement, target: AlgebraElement) -> AlgebraElement:
         return apply_operator_series(self, direction, target)
 
@@ -255,24 +213,35 @@ def apply_operator_series(
 def _apply_series(
     series: Sequence[OperatorSeries], direction: AlgebraElement, target: AlgebraElement
 ) -> list[AlgebraElement]:
-    # One walk over ad_direction^k(target) feeds every series; only the
-    # current power and one running sum per series are kept.
+    # one walk over ad_direction^k(target) feeds every series
     if direction.context != target.context:
         raise GradingError("direction and target must share a context")
     ddeg = direction.homogeneous_degree()
     if ddeg not in (0, None):
         raise GradingError(f"operator direction must have degree 0, got {ddeg}")
     target.homogeneous_degree()  # raises on mixed input
-    sums = [_LinearSum(target.context) for _ in series]
-    top = max((max(phi.coeffs) for phi in series if phi.coeffs), default=0)
-    current = target
+    tables = [phi.coeffs for phi in series]
+    return _series_walk(target, lambda current: bracket(direction, current), tables)
+
+
+def _series_walk(
+    start: AlgebraElement,
+    step: Callable[[AlgebraElement], AlgebraElement],
+    tables: Sequence[Mapping[int, Fraction]],
+) -> list[AlgebraElement]:
+    # sum_k table[k] step^k(start) for every table, from one walk over
+    # the powers; only the current power and one running sum per table
+    # are kept, and the walk stops at the first power that vanishes
+    sums = [_LinearSum(start.context) for _ in tables]
+    top = max((max(table) for table in tables if table), default=0)
+    current = start
     for k in range(top + 1):
         if k:
-            current = bracket(direction, current)
+            current = step(current)
             if not current:
                 break
-        for total, phi in zip(sums, series):
-            c = phi.coeffs.get(k)
+        for total, table in zip(sums, tables):
+            c = table.get(k)
             if c:
                 total.add(c, current)
     return [total.element() for total in sums]
@@ -293,26 +262,14 @@ def exp_assoc(x: AlgebraElement) -> AlgebraElement:
     if degree is not None and degree % 2:
         raise GradingError(f"exponential of an odd element (degree {degree}) is undefined")
     facts = _factorials(x.context.max_weight)
-    return _power_series(x, {k: Fraction(1, facts[k]) for k in range(1, len(facts))})
+    table = {k - 1: Fraction(1, facts[k]) for k in range(1, len(facts))}
+    return _series_walk(x, lambda power: power * x, [table])[0]
 
 
 def log_assoc(z: AlgebraElement) -> AlgebraElement:
     """The truncated logarithm of ``1 + z``; inverse of :func:`exp_assoc`."""
-    limit = z.context.max_weight
-    return _power_series(z, {k: Fraction((-1) ** (k + 1), k) for k in range(1, limit + 1)})
-
-
-def _power_series(x: AlgebraElement, coeffs: Mapping[int, Fraction]) -> AlgebraElement:
-    # sum_{k>=1} coeffs[k] x^k, keeping one power at a time
-    total = _LinearSum(x.context)
-    power = x
-    for k in range(1, x.context.max_weight + 1):
-        if k > 1:
-            power = power * x
-            if not power:
-                break
-        total.add(coeffs[k], power)
-    return total.element()
+    table = {k - 1: Fraction((-1) ** (k + 1), k) for k in range(1, z.context.max_weight + 1)}
+    return _series_walk(z, lambda power: power * z, [table])[0]
 
 
 def _unital_product(z1: AlgebraElement, z2: AlgebraElement) -> AlgebraElement:

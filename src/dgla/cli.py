@@ -8,6 +8,7 @@ stderr.  Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from fractions import Fraction
@@ -64,7 +65,8 @@ def _validate_order(order: int) -> int:
 
 # -- bch expression language -------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<sym>[-+*/(),]))")
+_NAME_PATTERN = r"[A-Za-z_][A-Za-z_0-9]*"
+_TOKEN_RE = re.compile(rf"\s*(?:(?P<int>\d+)|(?P<name>{_NAME_PATTERN})|(?P<sym>[-+*/(),]))")
 
 
 def _integer(digits: str, offset: int) -> int:
@@ -194,8 +196,11 @@ def _parse_generator_list(raw: str, order: int) -> AlgebraContext:
         name, colon, degree = piece.partition(":")
         if not colon:
             raise UsageError(f"generator entries must be name:degree, got {piece!r}")
+        name = name.strip()
+        if not re.fullmatch(_NAME_PATTERN, name) or name == "bch":
+            raise UsageError(f"generator entry {piece!r} has a name expressions cannot use")
         try:
-            entries.append((name.strip(), int(degree)))
+            entries.append((name, int(degree)))
         except ValueError:
             raise UsageError(f"bad degree in generator entry {piece!r}")
     if not entries:
@@ -218,14 +223,24 @@ def _render(element: AlgebraElement, label: str, fmt: str) -> str:
 
 
 def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text + "\n")
-    else:
-        try:
+    try:
+        if path is not None:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
-        except OSError as exc:
-            raise UsageError(f"cannot write output {path!r}: {exc.strerror or exc}") from None
+        elif sys.stdout is None:
+            raise OSError("stdout is closed")
+        else:
+            sys.stdout.write(text + "\n")
+            sys.stdout.flush()
+    except OSError as exc:
+        if path is None and sys.stdout is not None:
+            # what stdout could not take stays buffered; send the
+            # interpreter's final flush of it to devnull, not to stderr
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                raise  # the reader stopped early: not an error
+        where = "to stdout" if path is None else repr(path)
+        raise UsageError(f"cannot write output {where}: {exc.strerror or exc}") from None
 
 
 # -- subcommands ----------------------------------------------------------

@@ -2,18 +2,24 @@
 
 A :class:`CellModel` assigns every generator a geometric boundary (the
 bracket-free part of its differential) and a full differential series,
-all at a fixed truncation order.  Builders cover the models with known
-closed forms: arbitrary 1-complexes (vertices get the flatness
-differential ``-1/2 [a, a]``, edges the Bernoulli edge series), the
-disc with a single vertex, the two bigon models based at a vertex, and
-the dihedrally symmetric bigon based at the midpoint.
+all at a fixed truncation order.  Every model is built one cell at a
+time by one builder: vertices get the flatness differential
+``-1/2 [a, a]``, edges the Bernoulli edge series, and an optional
+2-cell ``g``, attached along the loop through every edge, gets
+``Dg = (holonomy of its boundary loop) - [basepoint, g]``.
+:func:`build_one_complex` covers arbitrary 1-complexes; the catalogue
+behind :func:`build_named_model` adds the point, the interval, the
+two-vertex circle, the disc with a single vertex, the two bigon models
+based at a vertex, and the dihedrally symmetric bigon, whose basepoint
+is the midpoint ``x`` and whose holonomy is the kernel element ``q`` of
+:func:`compute_symmetric_data`.
 
 Every builder verifies the model it returns and raises
 :class:`RuntimeError` naming the failed checks.  The checks run once
 per model instance; :func:`verify_model` returns that stored result
-instead of recomputing it.  Builders and :func:`compute_symmetric_data`
-are memoized; models are immutable, so the cached instances are safe
-to share.
+instead of recomputing it.  :func:`build_named_model` and
+:func:`compute_symmetric_data` are memoized; models are immutable, so
+the cached instances are safe to share.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .algebra import (
     AlgebraContext,
@@ -53,9 +59,6 @@ __all__ = [
     "OneComplex",
     "SymmetricBigonData",
     "VerificationReport",
-    "build_bigon_based",
-    "build_bigon_symmetric",
-    "build_disc_one_vertex",
     "build_named_model",
     "build_one_complex",
     "check_equivariance",
@@ -182,11 +185,6 @@ def circle_complex() -> OneComplex:
     return OneComplex(("a", "b"), (("e", "a", "b"), ("f", "b", "a")))
 
 
-def _vertex_differential(context: AlgebraContext, name: str) -> AlgebraElement:
-    v = context.gen(name)
-    return Fraction(-1, 2) * bracket(v, v)
-
-
 def _verified(model: CellModel) -> CellModel:
     failed = [check.name for check in model._checks if not check.passed]
     if failed:
@@ -194,91 +192,41 @@ def _verified(model: CellModel) -> CellModel:
     return model
 
 
+# A 2-cell's data: its basepoint and the holonomy of its boundary loop,
+# both in the context of the model that attaches it.
+_CellData = Callable[[AlgebraContext], tuple[AlgebraElement, AlgebraElement]]
+
+
 def build_one_complex(complex_: OneComplex, order: int = 6) -> CellModel:
     """The model of a 1-complex: flat vertices, Bernoulli edge series."""
+    return _build(complex_, order, None)
+
+
+def _build(complex_: OneComplex, order: int, cell: _CellData | None) -> CellModel:
+    # With ``cell``, a 2-cell g is attached along the loop through every
+    # edge: its boundary is the sum of the edges, its closure is every
+    # generator, and Dg = holonomy - [basepoint, g].
     entries = [(v, -1) for v in complex_.vertices]
     entries += [(name, 0) for name, _, _ in complex_.edges]
+    if cell is not None:
+        entries.append(("g", 1))
     context = AlgebraContext(entries, max_weight=order)
     boundary0: dict[str, AlgebraElement] = {}
     differential: dict[str, AlgebraElement] = {}
     closure: dict[str, frozenset[str]] = {}
     for v in complex_.vertices:
         boundary0[v] = context.zero()
-        differential[v] = _vertex_differential(context, v)
+        differential[v] = Fraction(-1, 2) * bracket(context.gen(v), context.gen(v))
         closure[v] = frozenset({v})
     for name, source, target in complex_.edges:
         boundary0[name] = context.gen(target) - context.gen(source)
         differential[name] = edge_differential(context, name, source, target)
         closure[name] = frozenset({name, source, target})
-    return _verified(CellModel(context, boundary0, differential, closure, order))
-
-
-def build_disc_one_vertex(order: int = 6) -> CellModel:
-    """The disc with one vertex: De = [e, a], Dg = e - [a, g]."""
-    context = AlgebraContext([("a", -1), ("e", 0), ("g", 1)], max_weight=order)
-    a, e, g = context.gen("a"), context.gen("e"), context.gen("g")
-    boundary0 = {"a": context.zero(), "e": context.zero(), "g": e}
-    differential = {
-        "a": _vertex_differential(context, "a"),
-        "e": bracket(e, a),
-        "g": e - bracket(a, g),
-    }
-    closure = {
-        "a": frozenset({"a"}),
-        "e": frozenset({"a", "e"}),
-        "g": frozenset({"a", "e", "g"}),
-    }
-    return _verified(CellModel(context, boundary0, differential, closure, order))
-
-
-def _bigon_context(order: int) -> AlgebraContext:
-    return AlgebraContext(
-        [("a", -1), ("b", -1), ("e", 0), ("f", 0), ("g", 1)], max_weight=order
-    )
-
-
-def _bigon_skeleton(context: AlgebraContext) -> tuple[dict, dict, dict]:
-    # shared 1-skeleton of every bigon model: the two-vertex circle
-    boundary0 = {
-        "a": context.zero(),
-        "b": context.zero(),
-        "e": context.gen("b") - context.gen("a"),
-        "f": context.gen("a") - context.gen("b"),
-        "g": context.gen("e") + context.gen("f"),
-    }
-    differential = {
-        "a": _vertex_differential(context, "a"),
-        "b": _vertex_differential(context, "b"),
-        "e": edge_differential(context, "e", "a", "b"),
-        "f": edge_differential(context, "f", "b", "a"),
-    }
-    closure = {
-        "a": frozenset({"a"}),
-        "b": frozenset({"b"}),
-        "e": frozenset({"a", "b", "e"}),
-        "f": frozenset({"a", "b", "f"}),
-        "g": frozenset({"a", "b", "e", "f", "g"}),
-    }
-    return boundary0, differential, closure
-
-
-def build_bigon_based(base: str = "a", order: int = 6) -> CellModel:
-    """A bigon model based at one of its vertices.
-
-    Based at ``a`` the 2-cell differential is ``bch(e, f) - [a, g]``;
-    based at ``b`` it is ``bch(f, e) - [b, g]``.  Both are invariant
-    under the reflection but not under the rotation, which carries one
-    to the other.
-    """
-    if base not in ("a", "b"):
-        raise ValueError(f"base must be 'a' or 'b', got {base!r}")
-    context = _bigon_context(order)
-    boundary0, differential, closure = _bigon_skeleton(context)
-    e, f, g = context.gen("e"), context.gen("f"), context.gen("g")
-    if base == "a":
-        differential["g"] = bch([e, f]) - bracket(context.gen("a"), g)
-    else:
-        differential["g"] = bch([f, e]) - bracket(context.gen("b"), g)
+    if cell is not None:
+        basepoint, holonomy = cell(context)
+        boundary0["g"] = context.element({(name,): 1 for name, _, _ in complex_.edges})
+        differential["g"] = holonomy - bracket(basepoint, context.gen("g"))
+        closure["g"] = frozenset(context.names)
     return _verified(CellModel(context, boundary0, differential, closure, order))
 
 
@@ -313,40 +261,6 @@ def compute_symmetric_data(order: int = 6) -> SymmetricBigonData:
     return SymmetricBigonData(v=v, x=x, q=q)
 
 
-def build_bigon_symmetric(order: int = 6) -> CellModel:
-    """The dihedrally symmetric bigon: ``Dg = q - [x, g]`` at the midpoint."""
-    data = compute_symmetric_data(order)
-    context = _bigon_context(order)
-    boundary0, differential, closure = _bigon_skeleton(context)
-    q = data.q.in_context(context)
-    x = data.x.in_context(context)
-    differential["g"] = q - bracket(x, context.gen("g"))
-    return _verified(CellModel(context, boundary0, differential, closure, order))
-
-
-MODEL_NAMES = ("point", "interval", "circle2", "disc1", "bigon-a", "bigon-b", "bigon-sym")
-
-
-@lru_cache(maxsize=None)
-def build_named_model(name: str, order: int = 6) -> CellModel:
-    """Build one of the catalogued models by name (cached, shareable)."""
-    if name == "point":
-        return build_one_complex(point_complex(), order)
-    if name == "interval":
-        return build_one_complex(interval_complex(), order)
-    if name == "circle2":
-        return build_one_complex(circle_complex(), order)
-    if name == "disc1":
-        return build_disc_one_vertex(order)
-    if name == "bigon-a":
-        return build_bigon_based("a", order)
-    if name == "bigon-b":
-        return build_bigon_based("b", order)
-    if name == "bigon-sym":
-        return build_bigon_symmetric(order)
-    raise KeyError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
-
-
 # -- symmetry morphisms -----------------------------------------------------
 
 
@@ -368,17 +282,67 @@ def disc_reflection_morphism(context: AlgebraContext) -> GeneratorMorphism:
     return GeneratorMorphism(context, {"e": "-e", "g": "-g"})
 
 
+# -- the catalogue -------------------------------------------------------------
+
+
+def _based_at(vertex: str, *loop: str) -> _CellData:
+    """Basepoint ``vertex``; holonomy ``bch`` of the loop's edges read from it."""
+
+    def cell(context: AlgebraContext) -> tuple[AlgebraElement, AlgebraElement]:
+        return context.gen(vertex), bch([context.gen(edge) for edge in loop])
+
+    return cell
+
+
+def _midpoint(context: AlgebraContext) -> tuple[AlgebraElement, AlgebraElement]:
+    # the symmetric choice: basepoint x, holonomy q (compute_symmetric_data)
+    data = compute_symmetric_data(context.max_weight)
+    return data.x.in_context(context), data.q.in_context(context)
+
+
+class _Entry(NamedTuple):
+    skeleton: OneComplex
+    cell: _CellData | None
+    symmetries: Mapping[str, Callable[[AlgebraContext], GeneratorMorphism]]
+
+
+_DIHEDRAL = {"sigma": rotation_morphism, "iota": reflection_morphism}
+
+# The disc's loop edge gets De = [e, a], since T/(1 - e^T) + T/(1 - e^-T) = T.
+# Both based bigons are invariant under the reflection but not under the
+# rotation, which carries one to the other; the symmetric bigon has both.
+_CATALOGUE = {
+    "point": _Entry(point_complex(), None, {}),
+    "interval": _Entry(interval_complex(), None, {}),
+    "circle2": _Entry(circle_complex(), None, _DIHEDRAL),
+    "disc1": _Entry(
+        OneComplex(("a",), (("e", "a", "a"),)),
+        _based_at("a", "e"),
+        {"iota": disc_reflection_morphism},
+    ),
+    "bigon-a": _Entry(circle_complex(), _based_at("a", "e", "f"), _DIHEDRAL),
+    "bigon-b": _Entry(circle_complex(), _based_at("b", "f", "e"), _DIHEDRAL),
+    "bigon-sym": _Entry(circle_complex(), _midpoint, _DIHEDRAL),
+}
+
+MODEL_NAMES = tuple(_CATALOGUE)
+
+
+@lru_cache(maxsize=None)
+def build_named_model(name: str, order: int = 6) -> CellModel:
+    """Build one of the catalogued models by name (cached, shareable)."""
+    entry = _CATALOGUE.get(name)
+    if entry is None:
+        raise KeyError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
+    return _build(entry.skeleton, order, entry.cell)
+
+
 def symmetry_morphism(model_name: str, context: AlgebraContext, which: str) -> GeneratorMorphism:
     """Resolve ``sigma``/``iota`` to the morphism a named model supports."""
-    if which == "sigma":
-        if model_name in ("circle2", "bigon-a", "bigon-b", "bigon-sym"):
-            return rotation_morphism(context)
-    elif which == "iota":
-        if model_name in ("circle2", "bigon-a", "bigon-b", "bigon-sym"):
-            return reflection_morphism(context)
-        if model_name == "disc1":
-            return disc_reflection_morphism(context)
-    raise KeyError(f"model {model_name!r} has no morphism {which!r}")
+    entry = _CATALOGUE.get(model_name)
+    if entry is None or which not in entry.symmetries:
+        raise KeyError(f"model {model_name!r} has no morphism {which!r}")
+    return entry.symmetries[which](context)
 
 
 # -- verification ------------------------------------------------------------

@@ -13,7 +13,6 @@ from dgla import (
     SeriesParseError,
     apply_morphism,
     bracket,
-    combine,
     decode,
     encode,
     format_element,
@@ -89,23 +88,23 @@ class TestContext:
 class TestCombine:
     def test_sum_of_generators(self):
         e, f = CTX.gen("e"), CTX.gen("f")
-        assert combine(1, e, 1, f) == CTX.element({("e",): 1, ("f",): 1})
+        assert 1 * e + 1 * f == CTX.element({("e",): 1, ("f",): 1})
 
     def test_cancellation_gives_zero(self):
         e = CTX.gen("e")
-        result = combine(1, e, -1, e)
+        result = 1 * e + -1 * e
         assert result.is_zero()
         assert not list(result.terms())
 
     def test_half_difference(self):
         e, f = CTX.gen("e"), CTX.gen("f")
-        got = combine(Fraction(1, 2), e, Fraction(-1, 2), f)
+        got = Fraction(1, 2) * e + Fraction(-1, 2) * f
         assert got == CTX.element({("e",): Fraction(1, 2), ("f",): Fraction(-1, 2)})
 
     def test_context_mismatch(self):
         other = AlgebraContext([("e", 0)], 6)
         with pytest.raises(ContextMismatchError):
-            combine(1, CTX.gen("e"), 1, other.gen("e"))
+            1 * CTX.gen("e") + 1 * other.gen("e")
 
 
 class TestBracket:
@@ -220,8 +219,8 @@ class TestMorphisms:
         flip = GeneratorMorphism(CTX, {"e": "-f", "f": "-e", "g": "-g"})
         for morphism in (swap, flip):
             assert morphism(bracket(x, y)) == bracket(morphism(x), morphism(y))
-            assert morphism(combine(3, x, Fraction(-1, 2), y)) == combine(
-                3, morphism(x), Fraction(-1, 2), morphism(y)
+            assert morphism(3 * x + Fraction(-1, 2) * y) == (
+                3 * morphism(x) + Fraction(-1, 2) * morphism(y)
             )
 
 

@@ -1,7 +1,12 @@
+import contextlib
+import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -250,9 +255,15 @@ class TestBchCommand:
         assert "error:" in err
 
     def test_bad_gens_entry(self, capsys):
-        code, _, err = run_cli(capsys, "bch", "--gens", "x=0", "x")
-        assert code == 2
-        assert "error:" in err
+        # a name must be one that expressions can refer to: not "bch",
+        # and a full match of the expression language's name token
+        cases = [("x=0", "x"), ("bch:0,e:0", "e"), ("x y:0", "x"), ("1x:0,e:0", "e")]
+        for gens, expr in cases:
+            code, out, err = run_cli(capsys, "bch", "--gens", gens, expr)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert repr(gens.split(",")[0]) in err
 
     def test_nesting_at_the_limit_is_accepted(self, capsys):
         nested = "bch(" * MAX_BCH_NESTING + "x" + ")" * MAX_BCH_NESTING
@@ -306,3 +317,57 @@ class TestEntryPoint:
     def test_verify_exit_code_via_subprocess(self):
         result = run_subprocess("verify", "bigon-a", "--morphism", "sigma", "--order", "4")
         assert result.returncode == 1
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("stdout", ["closed", "full", "broken-pipe"])
+    def test_stdout_failure(self, stdout, buffered):
+        argv = [sys.executable, "-m", "dgla", "bernoulli", "4"]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        run = dict(stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        if stdout == "closed":
+            result = subprocess.run(["sh", "-c", '"$@" >&-', "sh", *argv], **run)
+        elif stdout == "full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full on this system")
+            with open("/dev/full", "w") as full:
+                result = subprocess.run(argv, stdout=full, **run)
+        else:
+            read_end, write_end = os.pipe()
+            os.close(read_end)  # every write to the pipe now fails with EPIPE
+            try:
+                result = subprocess.run(argv, stdout=write_end, **run)
+            finally:
+                os.close(write_end)
+        assert "Traceback" not in result.stderr
+        if stdout == "broken-pipe":
+            assert result.returncode == 0
+            assert result.stderr == ""
+        else:
+            assert result.returncode == 2
+            assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
+
+
+def test_recorded_model_and_verify_outputs():
+    """Every recorded ``model``/``verify`` request still gives its recorded
+    exit code and stdout bytes (SHA-256), replayed in this process."""
+    recorded = json.loads(REFERENCE.read_text(encoding="utf-8"))["cli-mix"]
+    requests = {
+        key: expected
+        for key, expected in recorded.items()
+        if key.startswith(("model ", "verify "))
+    }
+    assert len(requests) == 145
+    mismatches = []
+    for key, expected in sorted(requests.items()):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(key.split())
+        digest = hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
+        if [code, digest] != expected:
+            mismatches.append(key)
+    assert not mismatches
