@@ -8,14 +8,20 @@ commutator ``[x, y] = x y - (-1)^{|x||y|} y x``, which makes every
 Koszul sign a mechanical consequence of generator parities and reduces
 equality of Lie elements to exact equality of word coefficients.
 
-An element stores one positive integer denominator and a map from
-words to nonzero integer numerators, reduced so that the denominator is
-the least common denominator of the coefficients.  That form is unique,
-so equality is a plain comparison, and every operation computes in
-integers: sums rescale to the lcm of the denominators, products
-multiply numerators and denominators, and the product kernels pair
-only the weight buckets that fit under the truncation.  This module is
-the only one that knows the format.  :class:`fractions.Fraction` values
+An element stores one positive integer denominator and, for each
+weight ``k``, a dict from the weight-``k`` words to nonzero integer
+numerators, reduced so that the denominator is the least common
+denominator of the coefficients.  A word is stored packed into one
+:class:`int`: a sentinel 1 bit followed by one fixed-width field per
+letter, the width being the bit length of the context's largest
+generator index.  Concatenation is a shift and an add, replacing a
+letter is a shift and a mask, and for words of one context the order of
+the integers is the canonical order (weight, then lexicographic).  The
+form is unique, so equality is a plain comparison, and every operation
+computes in integers: sums rescale to the lcm of the denominators,
+products multiply numerators and denominators, and the product kernels
+pair only the weight buckets that fit under the truncation.  This
+module is the only one that knows the format.  :class:`fractions.Fraction` values
 are read in only by :meth:`AlgebraContext.element` (and the
 :class:`AlgebraElement` constructor it uses) and built only by
 :meth:`AlgebraElement.terms` and :meth:`AlgebraElement.coefficient`,
@@ -33,6 +39,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Word = tuple[int, ...]
@@ -119,7 +126,16 @@ class AlgebraContext:
     and truncation order agree.
     """
 
-    __slots__ = ("generators", "max_weight", "_index_by_name", "_degrees", "_parities")
+    __slots__ = (
+        "generators",
+        "max_weight",
+        "_index_by_name",
+        "_degrees",
+        "_parities",
+        "_bits",
+        "_no_terms",
+        "_signature",
+    )
 
     def __init__(
         self,
@@ -148,6 +164,10 @@ class AlgebraContext:
         self._index_by_name = index_by_name
         self._degrees = tuple(g.degree for g in gens)
         self._parities = tuple(g.parity for g in gens)
+        # bits per letter of a packed word
+        self._bits = max(1, (len(gens) - 1).bit_length())
+        self._no_terms = (_NO_TERMS,) * (max_weight + 1)
+        self._signature = (tuple((g.name, g.degree) for g in gens), max_weight)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -160,11 +180,16 @@ class AlgebraContext:
             raise KeyError(f"no generator named {name!r} in this context") from None
 
     def zero(self) -> AlgebraElement:
-        return _element(self, {}, 1)
+        return _element(self, self._no_terms, 1)
 
     def gen(self, name: str) -> AlgebraElement:
         """The generator ``name`` as a weight-1 element."""
-        return _element(self, {(self._index_by_name[name],): 1}, 1)
+        index = self._index_by_name[name]
+        buckets = list(self._no_terms)
+        buckets[1] = {self._pack((index,)): 1}
+        element = _element(self, buckets, 1)
+        element._degree = self._degrees[index]
+        return element
 
     def word(self, letters: Sequence[str], coeff: int | Fraction = 1) -> AlgebraElement:
         """A single associative word with the given coefficient."""
@@ -208,16 +233,37 @@ class AlgebraContext:
             raise ValueError("empty words are not representable")
         return tuple(letters)
 
-    def _signature(self) -> tuple:
-        return (tuple((g.name, g.degree) for g in self.generators), self.max_weight)
+    # -- packed words: a sentinel 1 bit, then one `_bits`-wide field per letter
+
+    def _empty_buckets(self) -> list[dict[int, int]]:
+        """One new empty dict per weight ``0..max_weight``, to fill in place.
+
+        Code that only ever replaces an empty bucket starts from
+        ``list(_no_terms)`` instead, the read-only empty mapping at
+        every weight."""
+        return [{} for _ in range(self.max_weight + 1)]
+
+    def _pack(self, word: Word) -> int:
+        packed = 1
+        bits = self._bits
+        for letter in word:
+            packed = packed << bits | letter
+        return packed
+
+    def _unpack(self, packed: int, weight: int) -> Word:
+        bits = self._bits
+        mask = (1 << bits) - 1
+        return tuple([packed >> shift & mask for shift in range(bits * (weight - 1), -1, -bits)])
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, AlgebraContext):
             return NotImplemented
-        return self._signature() == other._signature()
+        return self._signature == other._signature
 
     def __hash__(self) -> int:
-        return hash(self._signature())
+        return hash(self._signature)
 
     def __repr__(self) -> str:
         gens = ", ".join(f"{g.name}:{g.degree}" for g in self.generators)
@@ -227,13 +273,20 @@ class AlgebraContext:
 class AlgebraElement:
     """A truncated series in the tensor algebra of a context.
 
-    The stored form is one positive denominator ``_den`` and a map
-    ``_num`` from words to nonzero integer numerators, the coefficient
-    of a word being ``_num[word] / _den``.  The gcd of ``_den`` and all
-    numerators is 1, so ``_den`` is the least common denominator of the
-    coefficients and the form is unique; no word is heavier than the
-    context's truncation order.  Instances are immutable; all
-    arithmetic returns new elements.  ``_degree`` keeps the result of
+    The stored form is one positive denominator ``_den`` and a tuple
+    ``_buckets`` of one mapping per weight ``0..max_weight``:
+    ``_buckets[k]`` maps each weight-``k`` word, packed into an
+    :class:`int`, to its nonzero integer numerator, the coefficient of
+    the word being that numerator over ``_den`` (``_buckets[0]`` is
+    always empty).  A packed word is a sentinel 1 bit followed by the
+    letters' generator indices, first letter highest, each in the
+    context's fixed number of bits, so integer order is canonical order.
+    The gcd of ``_den`` and all numerators is 1, so ``_den`` is the least
+    common denominator of the coefficients and the form is unique; no
+    word is heavier than the context's truncation order.  Instances are
+    immutable, the buckets included: elements may share a bucket, and
+    every empty one is the same read-only mapping.  All arithmetic
+    returns new elements.  ``_degree`` keeps the result of
     :meth:`homogeneous_degree` once known; :func:`bracket` sets it on
     its result.
 
@@ -243,7 +296,7 @@ class AlgebraElement:
     graded Lie bracket is the module function :func:`bracket`.
     """
 
-    __slots__ = ("context", "_den", "_num", "_degree")
+    __slots__ = ("context", "_den", "_buckets", "_degree")
     __hash__ = None  # term maps are dicts; value equality only
 
     def __init__(
@@ -252,24 +305,47 @@ class AlgebraElement:
         terms: Mapping[Sequence[str] | Word, int | Fraction],
     ) -> None:
         # the conversion from Fractions that AlgebraContext.element uses
-        coeffs: dict[Word, Fraction] = {}
+        coeffs: list[dict[int, Fraction]] = context._empty_buckets()  # type: ignore[assignment]
         for raw_word, raw_coeff in terms.items():
             coeff = as_fraction(raw_coeff)
             if not coeff:
                 continue
             word = context._normalize_word(raw_word)
             if len(word) <= context.max_weight:
-                coeffs[word] = coeffs.get(word, 0) + coeff
-        self._store(context, *_over_lcd(coeffs))
+                bucket = coeffs[len(word)]
+                packed = context._pack(word)
+                bucket[packed] = bucket.get(packed, 0) + coeff
+        den = math.lcm(*(c.denominator for bucket in coeffs for c in bucket.values()))
+        self._store(
+            context,
+            [{w: c.numerator * (den // c.denominator) for w, c in bucket.items()} for bucket in coeffs],
+            den,
+        )
 
-    def _store(self, context: AlgebraContext, numerators: dict[Word, int], den: int) -> AlgebraElement:
+    def _store(self, context: AlgebraContext, buckets: _Buckets, den: int) -> AlgebraElement:
         # The one constructor of the stored form: zero numerators dropped
         # and the gcd divided out, leaving the least common denominator.
-        kept = {w: n for w, n in numerators.items() if n}
-        common = math.gcd(den, *kept.values())
+        # It keeps the dicts it is given (so nothing may mutate a stored
+        # bucket) and shares one read-only mapping among the empty ones.
+        kept = tuple([
+            (({w: n for w, n in bucket.items() if n} if 0 in bucket.values() else bucket) or _NO_TERMS)
+            if bucket
+            else _NO_TERMS
+            for bucket in buckets
+        ])
+        common = den
+        for bucket in kept:
+            if common == 1:
+                break
+            if bucket:
+                common = math.gcd(common, *bucket.values())
+        if common != 1:
+            kept = tuple([
+                {w: n // common for w, n in bucket.items()} if bucket else bucket for bucket in kept
+            ])
         self.context = context
         self._den = den // common
-        self._num = kept if common == 1 else {w: n // common for w, n in kept.items()}
+        self._buckets = kept
         return self
 
     # -- inspection ---------------------------------------------------
@@ -277,16 +353,22 @@ class AlgebraElement:
     def terms(self) -> Iterator[tuple[Word, Fraction]]:
         """Terms in canonical order: weight ascending, then lexicographic."""
         den = self._den
+        unpack = self.context._unpack
         return (
-            (w, Fraction(self._num[w], den))
-            for w in sorted(self._num, key=lambda w: (len(w), w))
+            (unpack(w, k), Fraction(n, den))
+            for k, bucket in enumerate(self._buckets)
+            for w, n in sorted(bucket.items())
         )
 
     def coefficient(self, word: Sequence[str] | Word) -> Fraction:
-        return Fraction(self._num.get(self.context._normalize_word(word), 0), self._den)
+        context = self.context
+        letters = context._normalize_word(word)
+        if len(letters) > context.max_weight:
+            return Fraction(0)
+        return Fraction(self._buckets[len(letters)].get(context._pack(letters), 0), self._den)
 
     def weights(self) -> tuple[int, ...]:
-        return tuple(sorted({len(w) for w in self._num}))
+        return tuple(k for k, bucket in enumerate(self._buckets) if bucket)
 
     def homogeneous_degree(self) -> int | None:
         """The common degree of all words; ``None`` for the zero element.
@@ -298,15 +380,22 @@ class AlgebraElement:
             return self._degree  # computed on the first call
         except AttributeError:
             pass
-        word_degree = self.context.word_degree
-        degrees = {word_degree(w) for w in self._num}
+        context = self.context
+        letter_degrees = context._degrees
+        bits = context._bits
+        mask = (1 << bits) - 1
+        degrees = set()
+        for k, bucket in enumerate(self._buckets):
+            shifts = range(0, bits * k, bits)
+            for w in bucket:
+                degrees.add(sum([letter_degrees[w >> shift & mask] for shift in shifts]))
         if len(degrees) > 1:
             raise GradingError(f"element has mixed degrees {sorted(degrees)}")
         self._degree = degrees.pop() if degrees else None
         return self._degree
 
     def is_zero(self) -> bool:
-        return not self._num
+        return not any(self._buckets)
 
     # -- linear structure ---------------------------------------------
 
@@ -315,7 +404,7 @@ class AlgebraElement:
             raise ContextMismatchError("elements belong to different contexts")
 
     def __bool__(self) -> bool:
-        return bool(self._num)
+        return any(self._buckets)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AlgebraElement):
@@ -323,7 +412,7 @@ class AlgebraElement:
         return (
             self.context == other.context
             and self._den == other._den
-            and self._num == other._num
+            and self._buckets == other._buckets
         )
 
     def __add__(self, other: AlgebraElement) -> AlgebraElement:
@@ -339,23 +428,19 @@ class AlgebraElement:
     def _plus(self, sign: int, other: AlgebraElement) -> AlgebraElement:
         # self + sign * other, over the lcm of the two denominators
         self._require_same_context(other)
-        den = math.lcm(self._den, other._den)
-        grow = den // self._den
-        scale = sign * (den // other._den)
-        out = {w: n * grow for w, n in self._num.items()}
-        get = out.get
-        for w, n in other._num.items():
-            out[w] = get(w, 0) + scale * n
-        return _element(self.context, out, den)
+        total = _LinearSum(self.context)
+        total.add(1, self)
+        total.add(sign, other)
+        return total.element()
 
     def __neg__(self) -> AlgebraElement:
-        return _element(self.context, {w: -n for w, n in self._num.items()}, self._den)
+        return self._scaled(Fraction(-1))
 
     def _scaled(self, scalar: Fraction) -> AlgebraElement:
         factor = scalar.numerator
         return _element(
             self.context,
-            {w: n * factor for w, n in self._num.items()},
+            [{w: n * factor for w, n in bucket.items()} if bucket else bucket for bucket in self._buckets],
             self._den * scalar.denominator,
         )
 
@@ -370,9 +455,10 @@ class AlgebraElement:
 
     def _concat(self, other: AlgebraElement) -> AlgebraElement:
         """Associative product, truncated at the context's max weight."""
-        out: dict[Word, int] = {}
-        _add_products(out, _by_weight(self), _by_weight(other), self.context.max_weight, 1)
-        return _element(self.context, out, self._den * other._den)
+        context = self.context
+        out = list(context._no_terms)
+        _add_products(out, self._buckets, other._buckets, context._bits, 1)
+        return _element(context, out, self._den * other._den)
 
     def in_context(self, context: AlgebraContext) -> AlgebraElement:
         """Re-express this element in another context.
@@ -383,8 +469,10 @@ class AlgebraElement:
         """
         if context == self.context:
             return self
-        index_map: dict[int, int] = {}
-        for g in self.context.generators:
+        source = self.context
+        index_map: list[int | None] = []
+        for g in source.generators:
+            target = None
             if g.name in context._index_by_name:
                 target = context.generator(g.name)
                 if target.degree != g.degree:
@@ -392,20 +480,28 @@ class AlgebraElement:
                         f"generator {g.name!r} has degree {target.degree} in the "
                         f"target context, expected {g.degree}"
                     )
-                index_map[g.index] = target.index
-        out: dict[Word, int] = {}
-        for word, n in self._num.items():
-            if len(word) > context.max_weight:
-                continue
-            try:
-                out[tuple(index_map[i] for i in word)] = n
-            except KeyError:
-                missing = {self.context.generators[i].name for i in word} - set(
-                    context.names
-                )
-                raise ContextMismatchError(
-                    f"target context lacks generators {sorted(missing)}"
-                ) from None
+            index_map.append(None if target is None else target.index)
+        # each word is repacked letter by letter: the index and the width
+        # of a letter may both differ in the target
+        out = context._empty_buckets()
+        bits, new_bits = source._bits, context._bits
+        mask = (1 << bits) - 1
+        for k, bucket in enumerate(self._buckets[: context.max_weight + 1]):
+            shifts = range(bits * (k - 1), -1, -bits)
+            moved = out[k]
+            for w, n in bucket.items():
+                packed = 1
+                for shift in shifts:
+                    letter = index_map[w >> shift & mask]
+                    if letter is None:
+                        missing = {
+                            source.generators[i].name for i in source._unpack(w, k)
+                        } - set(context.names)
+                        raise ContextMismatchError(
+                            f"target context lacks generators {sorted(missing)}"
+                        )
+                    packed = packed << new_bits | letter
+                moved[packed] = n
         return _element(context, out, self._den)
 
     def __repr__(self) -> str:
@@ -415,44 +511,69 @@ class AlgebraElement:
         return f"<AlgebraElement {text}>"
 
 
-def _element(context: AlgebraContext, numerators: dict[Word, int], den: int) -> AlgebraElement:
-    """The element with coefficients ``numerators[w] / den``, ``den > 0``."""
-    return AlgebraElement.__new__(AlgebraElement)._store(context, numerators, den)
+_Buckets = Sequence[Mapping[int, int]]
+
+# every empty bucket of every element: one read-only empty mapping
+_NO_TERMS: Mapping[int, int] = MappingProxyType({})
 
 
-def _over_lcd(coeffs: Mapping[Word, Fraction]) -> tuple[dict[Word, int], int]:
-    """Coefficients as integer numerators over their least common denominator."""
-    den = math.lcm(*(c.denominator for c in coeffs.values()))
-    return {w: c.numerator * (den // c.denominator) for w, c in coeffs.items()}, den
+def _element(context: AlgebraContext, buckets: _Buckets, den: int) -> AlgebraElement:
+    """The element with coefficients ``buckets[k][w] / den``, ``den > 0``;
+    ``buckets`` holds one mapping of packed words per weight ``0..max_weight``."""
+    return AlgebraElement.__new__(AlgebraElement)._store(context, buckets, den)
 
 
-# -- integer kernels -------------------------------------------------------
-
-_Buckets = list[list[tuple[Word, int]]]
+# -- integer kernels on packed words ------------------------------------------
 
 
-def _by_weight(x: AlgebraElement) -> _Buckets:
-    """``buckets[k]`` lists ``(word, numerator)`` for the weight-``k`` words of ``x``."""
-    buckets: _Buckets = [[] for _ in range(x.context.max_weight + 1)]
-    for term in x._num.items():
-        buckets[len(term[0])].append(term)
-    return buckets
+def _add_products(out: list[Mapping[int, int]], left: _Buckets, right: _Buckets, bits: int, sign: int) -> None:
+    """Add ``sign * a * b`` to ``out[k + l][uv]`` for every weight-``k``
+    term ``(u, a)`` of ``left`` and weight-``l`` term ``(v, b)`` of
+    ``right`` with ``k + l`` at most the truncation ``len(out) - 1``.
 
-
-def _add_products(out: dict[Word, int], left: _Buckets, right: _Buckets, limit: int, sign: int) -> None:
-    """Add ``sign * a * b`` to ``out[u + v]`` for every left term ``(u, a)``
-    and right term ``(v, b)`` whose weights sum to at most ``limit``."""
-    get = out.get
-    for weight in range(1, limit):
-        us = left[weight]
+    The packed concatenation ``uv`` is ``((u - 1) << bits * l) + v``: the
+    sentinel of ``u`` moves up to the top and that of ``v`` is absorbed.
+    """
+    limit = len(out) - 1
+    for k in range(limit - 1, 0, -1):
+        us = left[k]
         if not us:
             continue
-        fits = [t for bucket in right[1 : limit - weight + 1] for t in bucket]
-        for u, a in us:
-            a *= sign
-            for v, b in fits:
-                w = u + v
-                out[w] = get(w, 0) + a * b
+        for l in range(1, limit - k + 1):
+            vs = right[l]
+            if not vs:
+                continue
+            shift = bits * l
+            pairs = vs.items()
+            target = out[k + l]
+            if not target:
+                # the words uv of one weight pair are distinct: no sums
+                out[k + l] = {
+                    ((u - 1) << shift) + v: sign * a * b for u, a in us.items() for v, b in pairs
+                }
+                continue
+            get = target.get
+            for u, a in us.items():
+                base = (u - 1) << shift
+                a *= sign
+                for v, b in pairs:
+                    w = base + v
+                    target[w] = get(w, 0) + a * b
+
+
+def _letters(x: AlgebraElement) -> list[int]:
+    """The generator indices that occur in ``x``, in ascending order."""
+    bits = x.context._bits
+    mask = (1 << bits) - 1
+    every = len(x.context.generators)
+    found: set[int] = set()
+    for k, bucket in enumerate(x._buckets):
+        shifts = range(0, bits * k, bits)
+        for w in bucket:
+            found.update([w >> shift & mask for shift in shifts])
+            if len(found) == every:
+                return sorted(found)
+    return sorted(found)
 
 
 def _odd_derivation(x: AlgebraElement, image: Callable[[str], AlgebraElement]) -> AlgebraElement:
@@ -464,34 +585,45 @@ def _odd_derivation(x: AlgebraElement, image: Callable[[str], AlgebraElement]) -
     images of the letters that occur in ``x``.
     """
     context = x.context
-    letters = sorted({letter for word in x._num for letter in word})
-    images = {letter: image(context.generators[letter].name) for letter in letters}
-    # the images as numerators over one shared denominator, grouped by weight
+    images = {letter: image(context.generators[letter].name) for letter in _letters(x)}
     shared = math.lcm(*(d._den for d in images.values()))
-    graded = {
-        letter: [[(u, n * (shared // d._den)) for u, n in bucket] for bucket in _by_weight(d)]
-        for letter, d in images.items()
-    }
-    parities = context._parities
+    bits = context._bits
+    mask = (1 << bits) - 1
     limit = context.max_weight
-    out: dict[Word, int] = {}
-    get = out.get
-    for weight, bucket in enumerate(_by_weight(x)):
+    parities = context._parities
+    out = context._empty_buckets()
+    for k, bucket in enumerate(x._buckets):
         if not bucket:
             continue
-        # a letter of a weight-`weight` word may be replaced by at most `room` letters
-        room = limit - weight + 1
-        fits = {
-            letter: [t for part in buckets[1 : room + 1] for t in part]
-            for letter, buckets in graded.items()
-        }
-        for word, a in bucket:
-            for position, letter in enumerate(word):
-                prefix = word[:position]
-                suffix = word[position + 1 :]
-                for u, b in fits[letter]:
-                    w = prefix + u + suffix
-                    out[w] = get(w, 0) + a * b
+        # Per letter position, the letter having s letters after it: its
+        # shift, the shift and mask that cut the word around it, and per
+        # letter the image terms that fit (weight m <= limit - k + 1), as
+        # (shift of the letters before, output bucket, image words
+        # shifted up past the s letters after, numerators over `shared`).
+        steps = []
+        for s in range(k - 1, -1, -1):
+            low = bits * s
+            plan: list[list] = [[] for _ in context.generators]
+            for letter, d in images.items():
+                scale = shared // d._den
+                for m in range(1, limit - k + 2):
+                    if d._buckets[m]:
+                        target = out[k - 1 + m]
+                        terms = [(u << low, n * scale) for u, n in d._buckets[m].items()]
+                        plan[letter].append((bits * (m + s), target, target.get, terms))
+            steps.append((low, low + bits, (1 << low) - 1, plan))
+        for word, a in bucket.items():
+            for low, high, tail_mask, plan in steps:
+                letter = word >> low & mask
+                replacements = plan[letter]
+                if replacements:
+                    head = (word >> high) - 1  # the letters before, sentinel cleared
+                    tail = word & tail_mask  # the letters after
+                    for shift, target, get, terms in replacements:
+                        base = (head << shift) + tail
+                        for u, b in terms:
+                            w = base + u
+                            target[w] = get(w, 0) + a * b
                 if parities[letter]:
                     a = -a
     return _element(context, out, x._den * shared)
@@ -500,35 +632,45 @@ def _odd_derivation(x: AlgebraElement, image: Callable[[str], AlgebraElement]) -
 class _LinearSum:
     """A running sum ``sum_k c_k x_k`` of elements with rational weights.
 
-    It holds integer numerators over one denominator, the lcm of the
-    denominators added so far; the numerators are rescaled only when
-    that lcm grows.  :meth:`element` reduces the sum once, at the end.
+    It holds integer numerators by weight over one denominator, the lcm
+    of the denominators added so far; the numerators are rescaled only
+    when that lcm grows.  :meth:`element` reduces the sum once, at the
+    end, and the element takes over the sum's dicts: nothing is added
+    after it.
     """
 
-    __slots__ = ("context", "den", "numerators")
+    __slots__ = ("context", "den", "buckets")
 
     def __init__(self, context: AlgebraContext) -> None:
         self.context = context
         self.den = 1
-        self.numerators: dict[Word, int] = {}
+        self.buckets = list(context._no_terms)
 
-    def add(self, scalar: Fraction, x: AlgebraElement) -> None:
+    def add(self, scalar: int | Fraction, x: AlgebraElement) -> None:
         """Add ``scalar * x``."""
         term_den = scalar.denominator * x._den
         den = math.lcm(self.den, term_den)
-        numerators = self.numerators
+        buckets = self.buckets
         if den != self.den:
             grow = den // self.den
-            for w in numerators:
-                numerators[w] *= grow
+            for k, total in enumerate(buckets):
+                if total:
+                    buckets[k] = {w: n * grow for w, n in total.items()}
             self.den = den
         scale = scalar.numerator * (den // term_den)
-        get = numerators.get
-        for w, n in x._num.items():
-            numerators[w] = get(w, 0) + scale * n
+        for k, bucket in enumerate(x._buckets):
+            if not bucket:
+                continue
+            total = buckets[k]
+            if not total:
+                buckets[k] = dict(bucket) if scale == 1 else {w: scale * n for w, n in bucket.items()}
+                continue
+            get = total.get
+            for w, n in bucket.items():
+                total[w] = get(w, 0) + scale * n
 
     def element(self) -> AlgebraElement:
-        return _element(self.context, self.numerators, self.den)
+        return _element(self.context, self.buckets, self.den)
 
 
 class GeneratorMorphism:
@@ -629,12 +771,11 @@ def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     q = y.homogeneous_degree()
     if p is None or q is None:
         return x.context.zero()
-    limit = x.context.max_weight
-    gx, gy = _by_weight(x), _by_weight(y)
-    out: dict[Word, int] = {}
-    _add_products(out, gx, gy, limit, 1)
-    _add_products(out, gy, gx, limit, 1 if p % 2 and q % 2 else -1)
-    result = _element(x.context, out, x._den * y._den)
+    context = x.context
+    out = list(context._no_terms)
+    _add_products(out, x._buckets, y._buckets, context._bits, 1)
+    _add_products(out, y._buckets, x._buckets, context._bits, 1 if p % 2 and q % 2 else -1)
+    result = _element(context, out, x._den * y._den)
     if result:
         result._degree = p + q
     return result
@@ -646,7 +787,9 @@ def weight_component(x: AlgebraElement, k: int) -> AlgebraElement:
         raise ValueError(
             f"weight must lie in 1..{x.context.max_weight}, got {k!r}"
         )
-    return _element(x.context, {w: n for w, n in x._num.items() if len(w) == k}, x._den)
+    out = list(x.context._no_terms)
+    out[k] = x._buckets[k]
+    return _element(x.context, out, x._den)
 
 
 def apply_morphism(m: GeneratorMorphism, x: AlgebraElement) -> AlgebraElement:
@@ -654,15 +797,19 @@ def apply_morphism(m: GeneratorMorphism, x: AlgebraElement) -> AlgebraElement:
     if m.context != x.context:
         raise ContextMismatchError("morphism and element belong to different contexts")
     table = m._table
-    out: dict[Word, int] = {}
-    for word, n in x._num.items():
-        sign = 1
-        letters = []
-        for i in word:
-            s, j = table[i]
-            sign *= s
-            letters.append(j)
-        out[tuple(letters)] = sign * n
+    bits = x.context._bits
+    mask = (1 << bits) - 1
+    out = x.context._empty_buckets()
+    for k, bucket in enumerate(x._buckets):
+        shifts = range(bits * (k - 1), -1, -bits)
+        moved = out[k]
+        for w, n in bucket.items():
+            packed = 1
+            for shift in shifts:
+                sign, letter = table[w >> shift & mask]
+                packed = packed << bits | letter
+                n *= sign
+            moved[packed] = n
     return _element(x.context, out, x._den)
 
 
@@ -681,28 +828,31 @@ def is_primitive(x: AlgebraElement, wmax: int) -> bool:
     if not isinstance(wmax, int) or isinstance(wmax, bool) or not 1 <= wmax <= limit:
         raise ValueError(f"wmax must lie in 1..{limit}, got {wmax!r}")
     parities = x.context._parities
-    reduced: dict[tuple[Word, Word], int] = {}
-    for word, n in x._num.items():
-        k = len(word)
-        if k < 2 or k > wmax:
-            continue  # weight-1 words are primitive by definition
-        word_parities = tuple(parities[i] for i in word)
-        for mask in range(1, (1 << k) - 1):
-            sign = 1
-            left: list[int] = []
-            right: list[int] = []
-            odd_right_seen = 0  # odd letters already assigned to the right factor
-            for pos in range(k):
-                if mask >> pos & 1:
-                    # letter jumps left past every unselected letter before it
-                    if word_parities[pos] and odd_right_seen % 2:
-                        sign = -sign
-                    left.append(word[pos])
-                else:
-                    right.append(word[pos])
-                    odd_right_seen += word_parities[pos]
-            key = (tuple(left), tuple(right))
-            reduced[key] = reduced.get(key, 0) + sign * n
+    bits = x.context._bits
+    letter_mask = (1 << bits) - 1
+    # a pair of packed words (left, right) is keyed as one int: right
+    # has fewer than wmax letters, so it fits below bit bits * wmax
+    key_shift = bits * wmax
+    reduced: dict[int, int] = {}
+    for k in range(2, wmax + 1):  # weight-1 words are primitive by definition
+        for word, n in x._buckets[k].items():
+            letters = [word >> shift & letter_mask for shift in range(bits * (k - 1), -1, -bits)]
+            word_parities = [parities[i] for i in letters]
+            for mask in range(1, (1 << k) - 1):
+                sign = 1
+                left = right = 1
+                odd_right_seen = 0  # odd letters already assigned to the right factor
+                for pos in range(k):
+                    if mask >> pos & 1:
+                        # letter jumps left past every unselected letter before it
+                        if word_parities[pos] and odd_right_seen % 2:
+                            sign = -sign
+                        left = left << bits | letters[pos]
+                    else:
+                        right = right << bits | letters[pos]
+                        odd_right_seen += word_parities[pos]
+                key = left << key_shift | right
+                reduced[key] = reduced.get(key, 0) + sign * n
     return all(not c for c in reduced.values())
 
 
@@ -746,7 +896,8 @@ def _expect(condition: bool, message: str, path: str) -> None:
         raise SeriesParseError(message, position=path)
 
 
-def _parse_coeff(raw: object, path: str) -> Fraction:
+def _parse_coeff(raw: object, path: str) -> tuple[int, int]:
+    # the signed numerator and the denominator of a canonical "p/q"
     _expect(isinstance(raw, str), "coefficient must be a string", path)
     match = _COEFF_RE.match(raw)  # type: ignore[arg-type]
     _expect(match is not None, f"coefficient {raw!r} is not of the form p/q with q > 0", path)
@@ -762,8 +913,7 @@ def _parse_coeff(raw: object, path: str) -> Fraction:
         f"coefficient {raw!r} is not in lowest terms",
         path,
     )
-    value = Fraction(numerator, denominator)
-    return -value if sign == "-" else value
+    return (-numerator if sign == "-" else numerator), denominator
 
 
 def context_from_json(data: object, path: str = "") -> AlgebraContext:
@@ -807,40 +957,41 @@ def element_from_json_terms(
     and term lists not already in canonical order.
     """
     _expect(isinstance(data, list), "terms must be a list", path)
-    terms: dict[Word, Fraction] = {}
-    previous_key: tuple[int, Word] | None = None
+    index_by_name = context._index_by_name
+    bits = context._bits
+    terms: list[tuple[int, int, int, int]] = []  # weight, packed word, numerator, denominator
+    previous = 0  # below every packed word; packed order is canonical order
     for i, item in enumerate(data):  # type: ignore[union-attr]
         tpath = f"{path}[{i}]"
         _expect(isinstance(item, dict), "term must be an object", tpath)
         extra = set(item) - {"coeff", "word"}
         _expect(not extra, f"unknown term fields {sorted(extra)}", tpath)
-        coeff = _parse_coeff(item.get("coeff"), f"{tpath}.coeff")
+        numerator, denominator = _parse_coeff(item.get("coeff"), f"{tpath}.coeff")
         raw_word = item.get("word")
         _expect(isinstance(raw_word, list) and bool(raw_word), "word must be a nonempty list", f"{tpath}.word")
-        letters: list[int] = []
+        packed = 1
         for j, letter in enumerate(raw_word):  # type: ignore[union-attr]
             _expect(isinstance(letter, str), "word letters must be generator names", f"{tpath}.word[{j}]")
             _expect(
-                letter in context._index_by_name,
+                letter in index_by_name,
                 f"unknown generator {letter!r}",
                 f"{tpath}.word[{j}]",
             )
-            letters.append(context._index_by_name[letter])
-        word = tuple(letters)
+            packed = packed << bits | index_by_name[letter]
+        weight = len(raw_word)  # type: ignore[arg-type]
         _expect(
-            len(word) <= context.max_weight,
-            f"word of weight {len(word)} exceeds order {context.max_weight}",
+            weight <= context.max_weight,
+            f"word of weight {weight} exceeds order {context.max_weight}",
             f"{tpath}.word",
         )
-        key = (len(word), word)
-        _expect(
-            previous_key is None or previous_key < key,
-            "terms are not in canonical order",
-            tpath,
-        )
-        previous_key = key
-        terms[word] = coeff
-    return _element(context, *_over_lcd(terms))
+        _expect(previous < packed, "terms are not in canonical order", tpath)
+        previous = packed
+        terms.append((weight, packed, numerator, denominator))
+    den = math.lcm(*(term[3] for term in terms))
+    buckets = context._empty_buckets()
+    for weight, packed, numerator, denominator in terms:
+        buckets[weight][packed] = numerator * (den // denominator)
+    return _element(context, buckets, den)
 
 
 def _load_json(text: str) -> object:

@@ -57,6 +57,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+_INTEGER_RE = re.compile(r"[-+]?[0-9]+")
+
+
+def _ascii_integer(text: str) -> int:
+    # every integer argument: ASCII digits with an optional sign (int()
+    # alone also takes other scripts' digits and underscores)
+    if _INTEGER_RE.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than the interpreter converts
+            pass
+    raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
+
+
 def _validate_order(order: int) -> int:
     if not 1 <= order <= MAX_ORDER:
         raise UsageError(f"--order must lie in 1..{MAX_ORDER}, got {order}")
@@ -66,7 +80,7 @@ def _validate_order(order: int) -> int:
 # -- bch expression language -------------------------------------------
 
 _NAME_PATTERN = r"[A-Za-z_][A-Za-z_0-9]*"
-_TOKEN_RE = re.compile(rf"\s*(?:(?P<int>\d+)|(?P<name>{_NAME_PATTERN})|(?P<sym>[-+*/(),]))")
+_TOKEN_RE = re.compile(rf"\s*(?:(?P<int>[0-9]+)|(?P<name>{_NAME_PATTERN})|(?P<sym>[-+*/(),]))")
 
 
 def _integer(digits: str, offset: int) -> int:
@@ -200,8 +214,8 @@ def _parse_generator_list(raw: str, order: int) -> AlgebraContext:
         if not re.fullmatch(_NAME_PATTERN, name) or name == "bch":
             raise UsageError(f"generator entry {piece!r} has a name expressions cannot use")
         try:
-            entries.append((name, int(degree)))
-        except ValueError:
+            entries.append((name, _ascii_integer(degree.strip())))
+        except argparse.ArgumentTypeError:
             raise UsageError(f"bad degree in generator entry {piece!r}")
     if not entries:
         raise UsageError("--gens must declare at least one generator")
@@ -247,7 +261,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _add_common(parser: argparse.ArgumentParser, formats: bool = True) -> None:
-    parser.add_argument("--order", type=int, default=DEFAULT_ORDER, help="truncation order (default 6)")
+    parser.add_argument("--order", type=_ascii_integer, default=DEFAULT_ORDER, help="truncation order (default 6)")
     parser.add_argument("--output", default=None, help="write output to this path instead of stdout")
     if formats:
         parser.add_argument(
@@ -263,7 +277,7 @@ def build_parser() -> _Parser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     p_bernoulli = commands.add_parser("bernoulli", help="print a Bernoulli number as p/q")
-    p_bernoulli.add_argument("n", type=int)
+    p_bernoulli.add_argument("n", type=_ascii_integer)
     p_bernoulli.add_argument("--output", default=None)
 
     p_bch = commands.add_parser("bch", help="multi-argument BCH of degree-0 expressions")
@@ -279,7 +293,7 @@ def build_parser() -> _Parser:
 
     p_model = commands.add_parser("model", help="emit a full model JSON envelope")
     p_model.add_argument("name", choices=MODEL_NAMES)
-    p_model.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p_model.add_argument("--order", type=_ascii_integer, default=DEFAULT_ORDER)
     p_model.add_argument("--output", default=None)
 
     p_expand = commands.add_parser("expand", help="expand a named series of a model")
@@ -287,10 +301,10 @@ def build_parser() -> _Parser:
     _add_common(p_expand)
     p_expand.add_argument("--model", choices=MODEL_NAMES, default="bigon-sym")
     group = p_expand.add_mutually_exclusive_group()
-    group.add_argument("--weight", type=int, default=None, help="emit only the weight-k terms")
+    group.add_argument("--weight", type=_ascii_integer, default=None, help="emit only the weight-k terms")
     group.add_argument(
         "--brackets",
-        type=int,
+        type=_ascii_integer,
         default=None,
         help="emit only the j-bracket terms; alias for --weight j+1 "
         "(a term with j brackets has j+1 letters)",
@@ -298,7 +312,7 @@ def build_parser() -> _Parser:
 
     p_verify = commands.add_parser("verify", help="verify a model or its equivariance")
     p_verify.add_argument("name", choices=MODEL_NAMES)
-    p_verify.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p_verify.add_argument("--order", type=_ascii_integer, default=DEFAULT_ORDER)
     p_verify.add_argument("--output", default=None)
     p_verify.add_argument("--morphism", choices=("sigma", "iota"), default=None)
     return parser

@@ -56,6 +56,30 @@ def naive_leibniz(model, x):
     return ctx.element(out)
 
 
+def naive_in_context(x, context):
+    """``x`` re-expressed in ``context`` by generator names, one term at a
+    time, dropping the words heavier than its truncation order."""
+    names = x.context.word_names
+    return context.element({names(w): c for w, c in x.terms() if len(w) <= context.max_weight})
+
+
+def naive_morphism(mapping, x):
+    """``x`` with each letter renamed by ``mapping`` (a name to a name or
+    to ``-name``; absent names fixed), one term at a time, the signs
+    multiplied."""
+    ctx = x.context
+    out = {}
+    for word, c in x.terms():
+        letters = []
+        for name in ctx.word_names(word):
+            target = mapping.get(name, name)
+            if target.startswith("-"):
+                c, target = -c, target[1:]
+            letters.append(target)
+        out[tuple(letters)] = c
+    return ctx.element(out)
+
+
 def naive_operator_series(coeffs, direction, target):
     """``sum_k coeffs[k] ad_direction^k (target)`` for a mapping ``coeffs``."""
     total = target.context.zero()

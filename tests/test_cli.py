@@ -257,7 +257,15 @@ class TestBchCommand:
     def test_bad_gens_entry(self, capsys):
         # a name must be one that expressions can refer to: not "bch",
         # and a full match of the expression language's name token
-        cases = [("x=0", "x"), ("bch:0,e:0", "e"), ("x y:0", "x"), ("1x:0,e:0", "e")]
+        # and a degree must be written in ASCII digits
+        cases = [
+            ("x=0", "x"),
+            ("bch:0,e:0", "e"),
+            ("x y:0", "x"),
+            ("1x:0,e:0", "e"),
+            ("x:0_0", "x"),
+            ("x:\u0663", "x"),
+        ]
         for gens, expr in cases:
             code, out, err = run_cli(capsys, "bch", "--gens", gens, expr)
             assert code == 2
@@ -305,6 +313,25 @@ class TestUsageErrors:
     def test_no_command(self, capsys):
         code, _, err = run_cli(capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["model", "point", "--order", "\u0663"],  # Arabic-Indic digit three
+            ["verify", "point", "--order", "\uff13"],  # fullwidth digit three
+            ["bernoulli", "\u0661\u0662"],
+            ["expand", "q", "--order", "1_0"],
+            ["expand", "q", "--order", "4", "--weight", "\uff13"],
+            ["expand", "q", "--order", "4", "--brackets", "\uff12"],
+            ["bch", "--gens", "x:0", "\uff11*x"],
+            ["bch", "--gens", "x:0", "1/\uff12*x"],
+        ],
+    )
+    def test_integers_need_ascii_digits(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestEntryPoint:

@@ -1,7 +1,8 @@
 """The integer product, bracket, Leibniz and series kernels against the
 per-term ``Fraction`` oracles, on elements whose coefficients mix
-denominators across weights, at truncation orders 3 to 6; and the
-reduced stored form of the result of every operation."""
+denominators across weights, at truncation orders 3 to 6 and in
+contexts of 1 to 9 generators (1 to 4 bits per letter of a packed
+word); and the reduced stored form of the result of every operation."""
 
 from fractions import Fraction
 from math import gcd
@@ -11,44 +12,75 @@ from hypothesis import strategies as st
 
 from dgla import (
     AlgebraContext,
+    GeneratorMorphism,
     OperatorSeries,
     apply_morphism,
     apply_operator_series,
     bracket,
     build_named_model,
+    decode,
+    encode,
     exp_assoc,
     extend_differential,
     flow,
     log_assoc,
-    rotation_morphism,
     weight_component,
 )
 from oracles import (
     iterative_flow,
     naive_bracket,
+    naive_in_context,
     naive_leibniz,
+    naive_morphism,
     naive_operator_series,
     naive_product,
 )
 
 ORDERS = (3, 4, 5, 6)
-BIGON_LETTERS = [("a", -1), ("b", -1), ("e", 0), ("f", 0), ("g", 1)]
-CONTEXTS = {order: AlgebraContext(BIGON_LETTERS, max_weight=order) for order in ORDERS}
+# a context takes the first n letters; the counts give 1, 1, 2, 2, 3, 3
+# and 4 bits per letter (the bit length of the largest index, at least 1)
+LETTERS = [("e", 0), ("a", -1), ("g", 1), ("f", 0), ("b", -1), ("h", 0), ("c", -1), ("k", 2), ("m", 0)]
+LETTER_COUNTS = (1, 2, 3, 4, 5, 8, 9)
+CONTEXTS = {
+    (n, order): AlgebraContext(LETTERS[:n], max_weight=order)
+    for n in LETTER_COUNTS
+    for order in ORDERS
+}
+contexts = st.sampled_from(sorted(CONTEXTS)).map(CONTEXTS.__getitem__)
 DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 9, 12, 16, 25, 27, 35)
 KERNEL_SETTINGS = settings(max_examples=40, deadline=None)
 
 
 def assert_canonical(x):
     """No stored zero, no overweight word, every coefficient a Fraction
-    in lowest terms with a positive denominator, and ``x`` equal to the
-    element rebuilt from its terms: the stored form is the unique one."""
-    for word, c in x.terms():
+    in lowest terms with a positive denominator, terms in canonical
+    order, and ``x`` equal to the element rebuilt from its terms and to
+    its decoded encoding: the stored form is the unique one."""
+    terms = list(x.terms())
+    for word, c in terms:
         assert type(c) is Fraction
         assert c != 0
         assert c.denominator > 0
         assert gcd(c.numerator, c.denominator) == 1
         assert 1 <= len(word) <= x.context.max_weight
-    assert x == x.context.element(dict(x.terms()))
+        assert all(0 <= letter < len(x.context.generators) for letter in word)
+    words = [word for word, _ in terms]
+    assert words == sorted(words, key=lambda w: (len(w), w))
+    assert x == x.context.element(dict(terms))
+    assert decode(encode(x)) == x
+
+
+def signed_shuffle(context):
+    """A morphism mapping: reverse the generators of each degree,
+    negating every other one."""
+    by_degree = {}
+    for g in context.generators:
+        by_degree.setdefault(g.degree, []).append(g.name)
+    mapping = {}
+    for names in by_degree.values():
+        for i, name in enumerate(names):
+            mapping[name] = ("-" if i % 2 else "") + names[-1 - i]
+    return mapping
 
 
 @st.composite
@@ -88,9 +120,8 @@ def series_coefficients(draw, top):
 
 class TestProductAndBracket:
     @KERNEL_SETTINGS
-    @given(st.sampled_from(ORDERS), st.integers(-1, 1), st.integers(-1, 1), st.data())
-    def test_against_oracle(self, order, p, q, data):
-        ctx = CONTEXTS[order]
+    @given(contexts, st.integers(-1, 1), st.integers(-1, 1), st.data())
+    def test_against_oracle(self, ctx, p, q, data):
         x = data.draw(graded_elements(ctx, p))
         y = data.draw(graded_elements(ctx, q))
         for got, expected in ((x * y, naive_product(x, y)), (bracket(x, y), naive_bracket(x, y))):
@@ -98,11 +129,11 @@ class TestProductAndBracket:
             assert_canonical(got)
 
     @KERNEL_SETTINGS
-    @given(st.sampled_from(ORDERS), st.data())
-    def test_weights_at_and_past_the_truncation(self, order, data):
+    @given(contexts, st.data())
+    def test_weights_at_and_past_the_truncation(self, ctx, data):
         # weights i and order - i meet the truncation exactly; i and
         # order - i + 1 exceed it by one and must vanish
-        ctx = CONTEXTS[order]
+        order = ctx.max_weight
         i = data.draw(st.integers(1, order - 1))
         x = data.draw(graded_elements(ctx, 0, weights=[i]))
         y = data.draw(graded_elements(ctx, 0, weights=[order - i, order - i + 1]))
@@ -112,18 +143,16 @@ class TestProductAndBracket:
         assert bracket(x, y) == naive_bracket(x, y)
 
     @KERNEL_SETTINGS
-    @given(st.sampled_from(ORDERS), st.integers(-1, 1), st.data())
-    def test_zero_operands(self, order, p, data):
-        ctx = CONTEXTS[order]
+    @given(contexts, st.integers(-1, 1), st.data())
+    def test_zero_operands(self, ctx, p, data):
         x = data.draw(graded_elements(ctx, p))
         zero = ctx.zero()
         for result in (x * zero, zero * x, bracket(x, zero), bracket(zero, x)):
             assert result.is_zero()
 
     @KERNEL_SETTINGS
-    @given(st.sampled_from(ORDERS), st.data())
-    def test_cancelling_sums(self, order, data):
-        ctx = CONTEXTS[order]
+    @given(contexts, st.data())
+    def test_cancelling_sums(self, ctx, data):
         x = data.draw(graded_elements(ctx, 0))
         scale = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=9))
         # x (c x) - (c x) x cancels word by word inside one kernel call
@@ -134,7 +163,7 @@ class TestProductAndBracket:
 class TestLeibniz:
     @KERNEL_SETTINGS
     @given(
-        st.sampled_from(("circle2", "disc1", "bigon-a", "bigon-sym")),
+        st.sampled_from(("point", "interval", "circle2", "disc1", "bigon-a", "bigon-sym")),
         st.sampled_from(ORDERS),
         st.integers(-1, 1),
         st.data(),
@@ -151,29 +180,26 @@ class TestLeibniz:
 
 class TestOperatorSeries:
     @KERNEL_SETTINGS
-    @given(st.sampled_from(ORDERS), st.integers(-1, 1), st.data())
-    def test_against_oracle(self, order, degree, data):
-        ctx = CONTEXTS[order]
+    @given(contexts, st.integers(-1, 1), st.data())
+    def test_against_oracle(self, ctx, degree, data):
         direction = data.draw(graded_elements(ctx, 0))
         target = data.draw(graded_elements(ctx, degree))
-        coeffs = data.draw(series_coefficients(order))
+        coeffs = data.draw(series_coefficients(ctx.max_weight))
         got = apply_operator_series(OperatorSeries(coeffs), direction, target)
         assert got == naive_operator_series(coeffs, direction, target)
         assert_canonical(got)
 
     @KERNEL_SETTINGS
-    @given(st.sampled_from(ORDERS), st.data())
-    def test_self_direction_cancels(self, order, data):
+    @given(contexts, st.data())
+    def test_self_direction_cancels(self, ctx, data):
         # ad_x(x) = 0, so only the constant term survives
-        ctx = CONTEXTS[order]
         x = data.draw(graded_elements(ctx, 0))
-        coeffs = data.draw(series_coefficients(order))
+        coeffs = data.draw(series_coefficients(ctx.max_weight))
         assert apply_operator_series(OperatorSeries(coeffs), x, x) == coeffs[0] * x
 
     @KERNEL_SETTINGS
-    @given(st.sampled_from(ORDERS), st.data())
-    def test_log_of_exp_cancels_to_the_input(self, order, data):
-        ctx = CONTEXTS[order]
+    @given(contexts, st.data())
+    def test_log_of_exp_cancels_to_the_input(self, ctx, data):
         x = data.draw(graded_elements(ctx, 0))
         z = exp_assoc(x)
         assert_canonical(z)
@@ -201,16 +227,19 @@ class TestFlow:
 
 class TestCanonicalForm:
     @KERNEL_SETTINGS
-    @given(st.sampled_from(ORDERS), st.integers(-1, 1), st.data())
-    def test_every_operation_stores_the_reduced_form(self, order, degree, data):
-        ctx = CONTEXTS[order]
+    @given(contexts, st.integers(-1, 1), st.data())
+    def test_every_operation_stores_the_reduced_form(self, ctx, degree, data):
+        order = ctx.max_weight
         fractional = data.draw(st.one_of(st.none(), st.integers(1, order)))
         x = data.draw(graded_elements(ctx, degree, fractional=fractional))
         y = data.draw(graded_elements(ctx, degree, fractional=fractional))
         direction = data.draw(graded_elements(ctx, 0, fractional=fractional))
         scalar = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=9))
         coeffs = data.draw(series_coefficients(order))
-        model = build_named_model("bigon-a", order)
+        lower = AlgebraContext(LETTERS[: len(ctx.generators)], max_weight=order - 1)
+        shuffle = signed_shuffle(ctx)
+        shuffled = apply_morphism(GeneratorMorphism(ctx, shuffle), x)
+        assert shuffled == naive_morphism(shuffle, x)
         results = [
             x + y,
             x - y,
@@ -221,25 +250,34 @@ class TestCanonicalForm:
             x * y,
             bracket(x, y),
             bracket(direction, x),
-            apply_morphism(rotation_morphism(ctx), x),
-            x.in_context(AlgebraContext(BIGON_LETTERS, max_weight=order - 1)),
+            shuffled,
+            x.in_context(lower),
             exp_assoc(direction),
             log_assoc(x),
-            extend_differential(model, x),
             apply_operator_series(OperatorSeries(coeffs), direction, x),
         ]
         results += [weight_component(x, k) for k in range(1, order + 1)]
+        if len(ctx.generators) <= 5:  # letters of the bigon models
+            model = build_named_model("bigon-a", order)
+            results.append(extend_differential(model, x.in_context(model.context)))
+        # into all nine letters (4 bits per letter), in the same order and
+        # reversed, and back into the narrower context
+        for wide in (AlgebraContext(LETTERS, order), AlgebraContext(LETTERS[::-1], order)):
+            moved = x.in_context(wide)
+            assert moved == naive_in_context(x, wide)
+            assert moved.in_context(ctx) == x
+            results.append(moved)
         for result in results:
             assert_canonical(result)
 
     @KERNEL_SETTINGS
-    @given(st.sampled_from(ORDERS), st.integers(-1, 1), st.data())
-    def test_truncation_reduces_the_denominator(self, order, degree, data):
+    @given(contexts, st.integers(-1, 1), st.data())
+    def test_truncation_reduces_the_denominator(self, ctx, degree, data):
         # every denominator sits on the heaviest words, which the lower
         # order drops: what is left has integer coefficients
-        ctx = CONTEXTS[order]
+        order = ctx.max_weight
         x = data.draw(graded_elements(ctx, degree, fractional=order))
-        lower = x.in_context(AlgebraContext(BIGON_LETTERS, max_weight=order - 1))
+        lower = x.in_context(AlgebraContext(LETTERS[: len(ctx.generators)], max_weight=order - 1))
         assert all(c.denominator == 1 for _, c in lower.terms())
         assert_canonical(lower)
         assert_canonical(weight_component(x, order))
