@@ -20,7 +20,9 @@ the integers is the canonical order (weight, then lexicographic).  The
 form is unique, so equality is a plain comparison, and every operation
 computes in integers: sums rescale to the lcm of the denominators,
 products multiply numerators and denominators, and the product kernels
-pair only the weight buckets that fit under the truncation.  This
+pair only the weight buckets that fit under the truncation.  One kernel
+repacks words for every generator relabelling, a :class:`GeneratorMorphism`
+or a move to another context, from a per-letter ``(sign, index)`` table.  This
 module is the only one that knows the format.  :class:`fractions.Fraction` values
 are read in only by :meth:`AlgebraContext.element` (and the
 :class:`AlgebraElement` constructor it uses) and built only by
@@ -184,7 +186,7 @@ class AlgebraContext:
 
     def gen(self, name: str) -> AlgebraElement:
         """The generator ``name`` as a weight-1 element."""
-        index = self._index_by_name[name]
+        index = self.generator(name).index
         buckets = list(self._no_terms)
         buckets[1] = {self._pack((index,)): 1}
         element = _element(self, buckets, 1)
@@ -207,10 +209,6 @@ class AlgebraContext:
         never stores a weight-0 part).
         """
         return AlgebraElement(self, terms)
-
-    def word_degree(self, word: Word) -> int:
-        degrees = self._degrees
-        return sum(degrees[i] for i in word)
 
     def word_names(self, word: Word) -> tuple[str, ...]:
         gens = self.generators
@@ -465,44 +463,25 @@ class AlgebraElement:
 
         Every generator appearing in a word must exist in the target
         context with the same degree; indices are remapped by name.
-        Words heavier than the target's truncation order are dropped.
+        Words heavier than the target's truncation order are dropped,
+        and a generator used only in them need not exist in the target.
         """
         if context == self.context:
             return self
-        source = self.context
-        index_map: list[int | None] = []
-        for g in source.generators:
-            target = None
-            if g.name in context._index_by_name:
-                target = context.generator(g.name)
-                if target.degree != g.degree:
-                    raise ContextMismatchError(
-                        f"generator {g.name!r} has degree {target.degree} in the "
-                        f"target context, expected {g.degree}"
-                    )
-            index_map.append(None if target is None else target.index)
-        # each word is repacked letter by letter: the index and the width
-        # of a letter may both differ in the target
-        out = context._empty_buckets()
-        bits, new_bits = source._bits, context._bits
-        mask = (1 << bits) - 1
-        for k, bucket in enumerate(self._buckets[: context.max_weight + 1]):
-            shifts = range(bits * (k - 1), -1, -bits)
-            moved = out[k]
-            for w, n in bucket.items():
-                packed = 1
-                for shift in shifts:
-                    letter = index_map[w >> shift & mask]
-                    if letter is None:
-                        missing = {
-                            source.generators[i].name for i in source._unpack(w, k)
-                        } - set(context.names)
-                        raise ContextMismatchError(
-                            f"target context lacks generators {sorted(missing)}"
-                        )
-                    packed = packed << new_bits | letter
-                moved[packed] = n
-        return _element(context, out, self._den)
+        table: list[tuple[int, int] | None] = []
+        for g in self.context.generators:
+            index = context._index_by_name.get(g.name)
+            if index is not None and context._degrees[index] != g.degree:
+                raise ContextMismatchError(
+                    f"generator {g.name!r} has degree {context._degrees[index]} in the "
+                    f"target context, expected {g.degree}"
+                )
+            table.append(None if index is None else (1, index))
+        missing = [i for i in _letters(self, context.max_weight) if table[i] is None]
+        if missing:
+            names = sorted(self.context.generators[i].name for i in missing)
+            raise ContextMismatchError(f"target context lacks generators {names}")
+        return _relabel(self, context, table)
 
     def __repr__(self) -> str:
         text = format_element(self)
@@ -561,19 +540,44 @@ def _add_products(out: list[Mapping[int, int]], left: _Buckets, right: _Buckets,
                     target[w] = get(w, 0) + a * b
 
 
-def _letters(x: AlgebraElement) -> list[int]:
-    """The generator indices that occur in ``x``, in ascending order."""
-    bits = x.context._bits
-    mask = (1 << bits) - 1
+def _letters(x: AlgebraElement, top: int) -> list[int]:
+    """The generator indices that occur in the words of ``x`` of weight at
+    most ``top``, in ascending order."""
+    unpack = x.context._unpack
     every = len(x.context.generators)
     found: set[int] = set()
-    for k, bucket in enumerate(x._buckets):
-        shifts = range(0, bits * k, bits)
+    for k, bucket in enumerate(x._buckets[: top + 1]):
         for w in bucket:
-            found.update([w >> shift & mask for shift in shifts])
+            found.update(unpack(w, k))
             if len(found) == every:
                 return sorted(found)
     return sorted(found)
+
+
+def _relabel(
+    x: AlgebraElement, context: AlgebraContext, table: Sequence[tuple[int, int] | None]
+) -> AlgebraElement:
+    """``x`` with each letter ``i`` replaced by ``sign`` times generator
+    ``j`` of ``context``, where ``table[i] == (sign, j)``.
+
+    Each word is repacked at the target's width with the product of its
+    letters' signs; words heavier than the target's order are dropped.
+    Every letter of a kept word must have an entry in ``table``.
+    """
+    bits, new_bits = x.context._bits, context._bits
+    mask = (1 << bits) - 1
+    out = context._empty_buckets()
+    for k, bucket in enumerate(x._buckets[: context.max_weight + 1]):
+        shifts = range(bits * (k - 1), -1, -bits)
+        moved = out[k]
+        for w, n in bucket.items():
+            packed = 1
+            for shift in shifts:
+                sign, letter = table[w >> shift & mask]  # type: ignore[misc]
+                packed = packed << new_bits | letter
+                n *= sign
+            moved[packed] = n
+    return _element(context, out, x._den)
 
 
 def _odd_derivation(x: AlgebraElement, image: Callable[[str], AlgebraElement]) -> AlgebraElement:
@@ -585,7 +589,7 @@ def _odd_derivation(x: AlgebraElement, image: Callable[[str], AlgebraElement]) -
     images of the letters that occur in ``x``.
     """
     context = x.context
-    images = {letter: image(context.generators[letter].name) for letter in _letters(x)}
+    images = {letter: image(context.generators[letter].name) for letter in _letters(x, context.max_weight)}
     shared = math.lcm(*(d._den for d in images.values()))
     bits = context._bits
     mask = (1 << bits) - 1
@@ -678,57 +682,34 @@ class GeneratorMorphism:
 
     The mapping sends each generator to ``+`` or ``-`` another generator
     of the same degree; it extends to words letter by letter with the
-    product of the signs.  Construction accepts target specs as a bare
-    name (``"f"``), a negated name (``"-f"``), or a ``(sign, name)``
-    pair; generators absent from the mapping are fixed.
+    product of the signs (:func:`apply_morphism`).  Each target is a
+    bare name (``"f"``) or a negated name (``"-f"``); generators absent
+    from the mapping are fixed.
     """
 
     __slots__ = ("context", "_table")
 
-    def __init__(
-        self,
-        context: AlgebraContext,
-        mapping: Mapping[str, str | tuple[int, str]],
-    ) -> None:
+    def __init__(self, context: AlgebraContext, mapping: Mapping[str, str]) -> None:
         unknown = set(mapping) - set(context.names)
         if unknown:
             raise KeyError(f"mapping names unknown to the context: {sorted(unknown)}")
         table: list[tuple[int, int]] = []
         for g in context.generators:
-            sign, target_name = _parse_morphism_target(mapping.get(g.name, g.name))
-            target = context.generator(target_name)
+            spec = mapping.get(g.name, g.name)
+            if not isinstance(spec, str):
+                raise TypeError(f"morphism target must be a name or a negated name, got {spec!r}")
+            name = spec.removeprefix("-")
+            target = context.generator(name)
             if target.degree != g.degree:
                 raise ValueError(
                     f"morphism must preserve degree: {g.name!r} (degree {g.degree}) "
                     f"-> {target.name!r} (degree {target.degree})"
                 )
-            table.append((sign, target.index))
+            table.append((-1 if name != spec else 1, target.index))
         if len({idx for _, idx in table}) != len(table):
             raise ValueError("morphism must be a bijection on generators")
         self.context = context
         self._table = tuple(table)
-
-    @classmethod
-    def _from_table(
-        cls, context: AlgebraContext, table: Sequence[tuple[int, int]]
-    ) -> GeneratorMorphism:
-        m = cls.__new__(cls)
-        m.context = context
-        m._table = tuple(table)
-        return m
-
-    def compose(self, other: GeneratorMorphism) -> GeneratorMorphism:
-        """The morphism acting as ``self`` after ``other``."""
-        if self.context != other.context:
-            raise ContextMismatchError("morphisms belong to different contexts")
-        table = []
-        for sign2, middle in other._table:
-            sign1, target = self._table[middle]
-            table.append((sign1 * sign2, target))
-        return GeneratorMorphism._from_table(self.context, table)
-
-    def __call__(self, x: AlgebraElement) -> AlgebraElement:
-        return apply_morphism(self, x)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GeneratorMorphism):
@@ -743,17 +724,6 @@ class GeneratorMorphism:
             if target != g.name:
                 parts.append(f"{g.name}->{target}")
         return f"<GeneratorMorphism {', '.join(parts) or 'id'}>"
-
-
-def _parse_morphism_target(target: str | tuple[int, str]) -> tuple[int, str]:
-    if isinstance(target, str):
-        if target.startswith("-"):
-            return -1, target[1:]
-        return 1, target
-    sign, name = target
-    if sign not in (1, -1):
-        raise ValueError(f"morphism sign must be +1 or -1, got {sign!r}")
-    return sign, name
 
 
 # -- operations --------------------------------------------------------
@@ -796,21 +766,7 @@ def apply_morphism(m: GeneratorMorphism, x: AlgebraElement) -> AlgebraElement:
     """Apply a generator morphism letter by letter, multiplying signs."""
     if m.context != x.context:
         raise ContextMismatchError("morphism and element belong to different contexts")
-    table = m._table
-    bits = x.context._bits
-    mask = (1 << bits) - 1
-    out = x.context._empty_buckets()
-    for k, bucket in enumerate(x._buckets):
-        shifts = range(bits * (k - 1), -1, -bits)
-        moved = out[k]
-        for w, n in bucket.items():
-            packed = 1
-            for shift in shifts:
-                sign, letter = table[w >> shift & mask]
-                packed = packed << bits | letter
-                n *= sign
-            moved[packed] = n
-    return _element(x.context, out, x._den)
+    return _relabel(x, x.context, m._table)
 
 
 def is_primitive(x: AlgebraElement, wmax: int) -> bool:
@@ -829,14 +785,14 @@ def is_primitive(x: AlgebraElement, wmax: int) -> bool:
         raise ValueError(f"wmax must lie in 1..{limit}, got {wmax!r}")
     parities = x.context._parities
     bits = x.context._bits
-    letter_mask = (1 << bits) - 1
+    unpack = x.context._unpack
     # a pair of packed words (left, right) is keyed as one int: right
     # has fewer than wmax letters, so it fits below bit bits * wmax
     key_shift = bits * wmax
     reduced: dict[int, int] = {}
     for k in range(2, wmax + 1):  # weight-1 words are primitive by definition
         for word, n in x._buckets[k].items():
-            letters = [word >> shift & letter_mask for shift in range(bits * (k - 1), -1, -bits)]
+            letters = unpack(word, k)
             word_parities = [parities[i] for i in letters]
             for mask in range(1, (1 << k) - 1):
                 sign = 1
@@ -859,6 +815,9 @@ def is_primitive(x: AlgebraElement, wmax: int) -> bool:
 # -- canonical serialization -------------------------------------------
 
 _COEFF_RE = re.compile(r"^(-?)(0|[1-9][0-9]*)/([1-9][0-9]*)$")
+
+# Highest order a payload may declare: a context holds one bucket per weight.
+_MAX_PAYLOAD_ORDER = 64
 
 
 def _coeff_str(c: Fraction) -> str:
@@ -922,8 +881,8 @@ def context_from_json(data: object, path: str = "") -> AlgebraContext:
     _expect(isinstance(data, dict), "payload must be a JSON object", path or "$")
     order = data.get("order")  # type: ignore[union-attr]
     _expect(
-        isinstance(order, int) and not isinstance(order, bool) and order >= 1,
-        "order must be a positive integer",
+        isinstance(order, int) and not isinstance(order, bool) and 1 <= order <= _MAX_PAYLOAD_ORDER,
+        f"order must be an integer in 1..{_MAX_PAYLOAD_ORDER}",
         f"{dot}order",
     )
     raw_gens = data.get("generators")  # type: ignore[union-attr]

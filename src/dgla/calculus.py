@@ -190,9 +190,6 @@ class OperatorSeries:
         x = [Fraction(0), Fraction(1)]
         return cls(enumerate(_series_quotient(x, _one_minus_exp(order + 1, -1), order)))
 
-    def apply(self, direction: AlgebraElement, target: AlgebraElement) -> AlgebraElement:
-        return apply_operator_series(self, direction, target)
-
     def __repr__(self) -> str:
         body = " + ".join(f"({c}) T^{k}" for k, c in sorted(self.coeffs.items()))
         return f"<OperatorSeries {body or '0'}>"
@@ -331,8 +328,8 @@ def edge_differential(
     """
     e, a, b = _edge_generators(context, edge, source, target)
     order = context.max_weight - 1
-    left = OperatorSeries.edge_source_series(order).apply(e, a)
-    right = OperatorSeries.edge_target_series(order).apply(e, b)
+    left = apply_operator_series(OperatorSeries.edge_source_series(order), e, a)
+    right = apply_operator_series(OperatorSeries.edge_target_series(order), e, b)
     return left + right
 
 
@@ -353,7 +350,7 @@ def edge_differential_bernoulli(
     facts = _factorials(order)
     table = _bernoulli_table(order)
     series = OperatorSeries({k: table[k] / facts[k] for k in range(order + 1)})
-    return bracket(e, b) + series.apply(e, b - a)
+    return bracket(e, b) + apply_operator_series(series, e, b - a)
 
 
 def extend_differential(model: "CellModel", x: AlgebraElement) -> AlgebraElement:

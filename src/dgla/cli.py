@@ -293,8 +293,7 @@ def build_parser() -> _Parser:
 
     p_model = commands.add_parser("model", help="emit a full model JSON envelope")
     p_model.add_argument("name", choices=MODEL_NAMES)
-    p_model.add_argument("--order", type=_ascii_integer, default=DEFAULT_ORDER)
-    p_model.add_argument("--output", default=None)
+    _add_common(p_model, formats=False)
 
     p_expand = commands.add_parser("expand", help="expand a named series of a model")
     p_expand.add_argument("label", choices=EXPAND_LABELS)
@@ -312,8 +311,7 @@ def build_parser() -> _Parser:
 
     p_verify = commands.add_parser("verify", help="verify a model or its equivariance")
     p_verify.add_argument("name", choices=MODEL_NAMES)
-    p_verify.add_argument("--order", type=_ascii_integer, default=DEFAULT_ORDER)
-    p_verify.add_argument("--output", default=None)
+    _add_common(p_verify, formats=False)
     p_verify.add_argument("--morphism", choices=("sigma", "iota"), default=None)
     return parser
 

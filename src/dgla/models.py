@@ -46,6 +46,7 @@ from .algebra import (
 from .calculus import (
     OperatorSeries,
     _flows,
+    apply_operator_series,
     bch,
     edge_differential,
     extend_differential,
@@ -103,14 +104,18 @@ class CellModel:
     ``boundary0`` maps each generator to the bracket-free part of its
     differential; ``closure`` lists, for each generator, the generators
     of the cells its differential is allowed to touch (the locality
-    constraint).  Instances are immutable and shareable.
+    constraint).  ``order`` is the truncation order of ``context``.
+    Instances are immutable and shareable.
     """
 
     context: AlgebraContext
     boundary0: Mapping[str, AlgebraElement]
     differential: Mapping[str, AlgebraElement]
     closure: Mapping[str, frozenset[str]]
-    order: int
+
+    @property
+    def order(self) -> int:
+        return self.context.max_weight
 
     @cached_property
     def _checks(self) -> tuple[ModelCheck, ...]:
@@ -227,7 +232,7 @@ def _build(complex_: OneComplex, order: int, cell: _CellData | None) -> CellMode
         boundary0["g"] = context.element({(name,): 1 for name, _, _ in complex_.edges})
         differential["g"] = holonomy - bracket(basepoint, context.gen("g"))
         closure["g"] = frozenset(context.names)
-    return _verified(CellModel(context, boundary0, differential, closure, order))
+    return _verified(CellModel(context, boundary0, differential, closure))
 
 
 @lru_cache(maxsize=None)
@@ -253,7 +258,7 @@ def compute_symmetric_data(order: int = 6) -> SymmetricBigonData:
     v = bch([-half * loop, e])
     x, unit_time = _flows(circle, v, a, (half, 1))
     q = bch([-half * v, e, f, half * v])
-    transported = OperatorSeries.exponential(-half, order - 1).apply(v, loop)
+    transported = apply_operator_series(OperatorSeries.exponential(-half, order - 1), v, loop)
     if q != transported:
         raise RuntimeError("kernel element disagrees with its conjugation form")
     if unit_time != b:
@@ -495,7 +500,6 @@ def model_from_json_dict(data: object) -> tuple[str, CellModel]:
         boundary0=tables["boundary0"],
         differential=tables["differential"],
         closure=closure,
-        order=context.max_weight,
     )
     return name, model
 

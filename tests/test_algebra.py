@@ -78,6 +78,11 @@ class TestContext:
         with pytest.raises(ValueError):
             CTX.element({(): 1})
 
+    def test_unknown_name_reported_with_the_context(self):
+        for lookup in (CTX.gen, CTX.generator):
+            with pytest.raises(KeyError, match="no generator named 'zz' in this context"):
+                lookup("zz")
+
     def test_float_coefficients_rejected(self):
         with pytest.raises(TypeError):
             CTX.element({("e",): 0.5})
@@ -196,12 +201,6 @@ class TestMorphisms:
         word = CTX.word(("e", "f", "g"))
         assert apply_morphism(flip, word) == CTX.element({("f", "e", "g"): -1})
 
-    def test_compose(self):
-        swap = GeneratorMorphism(CTX, {"a": "b", "b": "a", "e": "f", "f": "e"})
-        flip = GeneratorMorphism(CTX, {"e": "-f", "f": "-e", "g": "-g"})
-        el = CTX.element({("e", "g", "f"): 1})
-        assert swap.compose(flip)(el) == apply_morphism(swap, apply_morphism(flip, el))
-
     def test_degree_preservation_enforced(self):
         with pytest.raises(ValueError):
             GeneratorMorphism(CTX, {"e": "g"})
@@ -209,6 +208,10 @@ class TestMorphisms:
     def test_bijectivity_enforced(self):
         with pytest.raises(ValueError):
             GeneratorMorphism(CTX, {"e": "f"})
+
+    def test_target_must_be_a_name(self):
+        with pytest.raises(TypeError, match=r"\(1, 'f'\)"):
+            GeneratorMorphism(CTX, {"e": (1, "f"), "f": "e"})
 
     @settings(deadline=None, max_examples=40)
     @given(st.sampled_from((-1, 0, 1)), st.sampled_from((-1, 0, 1)), st.data())
@@ -218,10 +221,9 @@ class TestMorphisms:
         swap = GeneratorMorphism(CTX, {"a": "b", "b": "a", "e": "f", "f": "e"})
         flip = GeneratorMorphism(CTX, {"e": "-f", "f": "-e", "g": "-g"})
         for morphism in (swap, flip):
-            assert morphism(bracket(x, y)) == bracket(morphism(x), morphism(y))
-            assert morphism(3 * x + Fraction(-1, 2) * y) == (
-                3 * morphism(x) + Fraction(-1, 2) * morphism(y)
-            )
+            mx, my = apply_morphism(morphism, x), apply_morphism(morphism, y)
+            assert apply_morphism(morphism, bracket(x, y)) == bracket(mx, my)
+            assert apply_morphism(morphism, 3 * x + Fraction(-1, 2) * y) == 3 * mx + Fraction(-1, 2) * my
 
 
 class TestPrimitivity:
@@ -336,3 +338,15 @@ class TestInContext:
         other = AlgebraContext([("e", 0)], 6)
         with pytest.raises(ContextMismatchError):
             CTX.gen("f").in_context(other)
+
+    def test_missing_generator_only_in_dropped_words(self):
+        # f occurs only at weight 3, above the target's order 2
+        lower = AlgebraContext([("e", 0), ("a", -1)], 2)
+        el = CTX.element({("e", "a"): Fraction(1, 2), ("e", "f", "a"): 3})
+        assert el.in_context(lower) == lower.element({("e", "a"): Fraction(1, 2)})
+
+    def test_missing_generator_in_a_kept_word_rejected(self):
+        lower = AlgebraContext([("e", 0), ("a", -1)], 3)
+        el = CTX.element({("e", "a"): Fraction(1, 2), ("e", "f", "a"): 3})
+        with pytest.raises(ContextMismatchError, match=r"lacks generators \['f'\]"):
+            el.in_context(lower)

@@ -136,22 +136,21 @@ class TestBch:
             u = rng.randint(-2, 2) * x + rng.randint(-2, 2) * y
             w = rng.randint(-2, 2) * x + rng.randint(-2, 2) * bracket(x, y)
             direction = x if rng.randint(0, 1) else y
-            lhs = bch([exp_ad.apply(direction, u), exp_ad.apply(direction, w)])
-            rhs = exp_ad.apply(direction, bch([u, w]))
-            assert lhs == rhs
+            moved = [apply_operator_series(exp_ad, direction, z) for z in (u, w)]
+            assert bch(moved) == apply_operator_series(exp_ad, direction, bch([u, w]))
 
 
 class TestOperatorSeries:
     def test_single_ad(self):
         ctx = AlgebraContext([("a", -1), ("e", 0)], 6)
         phi = OperatorSeries({1: 1})
-        assert phi.apply(ctx.gen("e"), ctx.gen("a")) == bracket(ctx.gen("e"), ctx.gen("a"))
+        assert apply_operator_series(phi, ctx.gen("e"), ctx.gen("a")) == bracket(ctx.gen("e"), ctx.gen("a"))
 
     def test_edge_source_series_low_orders(self):
         # oracle route: T/(1 - e^T) = -sum B_k T^k / k!, checked termwise
         ctx = AlgebraContext([("a", -1), ("e", 0)], 6)
         e, a = ctx.gen("e"), ctx.gen("a")
-        got = OperatorSeries.edge_source_series(5).apply(e, a)
+        got = apply_operator_series(OperatorSeries.edge_source_series(5), e, a)
         expected = ctx.zero()
         current = a
         factorial = 1
@@ -167,7 +166,7 @@ class TestOperatorSeries:
     def test_exponential_of_negative(self):
         ctx = AlgebraContext([("e", 0), ("f", 0)], 4)
         e, f = ctx.gen("e"), ctx.gen("f")
-        got = OperatorSeries.exponential(-1, 3).apply(e, f)
+        got = apply_operator_series(OperatorSeries.exponential(-1, 3), e, f)
         expected = (
             f
             - bracket(e, f)
@@ -179,7 +178,7 @@ class TestOperatorSeries:
     def test_odd_direction_rejected(self):
         ctx = AlgebraContext([("a", -1), ("g", 1)], 6)
         with pytest.raises(GradingError):
-            OperatorSeries({1: 1}).apply(ctx.gen("g"), ctx.gen("a"))
+            apply_operator_series(OperatorSeries({1: 1}), ctx.gen("g"), ctx.gen("a"))
 
 
 class TestEdgeDifferential:

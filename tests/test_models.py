@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 import dgla.models
 from dgla import (
+    GeneratorMorphism,
     OneComplex,
     OperatorSeries,
     SeriesParseError,
     apply_morphism,
+    apply_operator_series,
     bch,
     bracket,
     build_named_model,
@@ -178,7 +180,7 @@ class TestSymmetricData:
     def test_kernel_element_transport_form(self, circle, symdata):
         ctx = circle.context
         loop = bch([ctx.gen("e"), ctx.gen("f")])
-        transported = OperatorSeries.exponential(Fraction(-1, 2), 5).apply(symdata.v, loop)
+        transported = apply_operator_series(OperatorSeries.exponential(Fraction(-1, 2), 5), symdata.v, loop)
         assert symdata.q == transported
 
     def test_even_weights_vanish(self, symdata):
@@ -237,7 +239,11 @@ class TestSymmetricBigon:
         reflect = reflection_morphism(ctx)
         assert check_equivariance(bigon_sym, rotate).overall
         assert check_equivariance(bigon_sym, reflect).overall
-        assert check_equivariance(bigon_sym, rotate.compose(reflect)).overall
+        # rotation after reflection: swap the vertices, negate both edges and the 2-cell
+        half_turn = GeneratorMorphism(ctx, {"a": "b", "b": "a", "e": "-e", "f": "-f", "g": "-g"})
+        word = ctx.word(("a", "e", "f", "g"))
+        assert apply_morphism(half_turn, word) == apply_morphism(rotate, apply_morphism(reflect, word))
+        assert check_equivariance(bigon_sym, half_turn).overall
 
     def test_based_and_symmetric_models_share_low_orders(self, bigon_a, bigon_sym):
         ctx = bigon_sym.context
@@ -445,6 +451,22 @@ class TestDecoderFuzz:
                 decoder(text)
             except SeriesParseError:
                 pass
+
+    def test_order_past_the_bound_rejected(self):
+        # a context holds one bucket per weight: a short payload must not
+        # declare millions of them
+        header = {"model": "m", "generators": [{"name": "a", "degree": -1}]}
+        series = {"series": {"label": "s", "terms": []}}
+        for order in (65, 10_000_000):
+            text = json.dumps({**header, "order": order, **series})
+            for decoder in (decode, decode_model):
+                with pytest.raises(SeriesParseError) as caught:
+                    decoder(text)
+                assert caught.value.position == "order"
+        assert decode(json.dumps({**header, "order": 64, **series})).context.max_weight == 64
+        tables = {field: {"a": []} for field in ("boundary0", "differential")}
+        envelope = {**header, "order": 64, **tables, "closure": {"a": ["a"]}}
+        assert decode_model(json.dumps(envelope))[1].order == 64
 
     def test_overlong_numbers_rejected(self):
         # longer than the interpreter's limit on int <-> str conversion
