@@ -769,47 +769,54 @@ def apply_morphism(m: GeneratorMorphism, x: AlgebraElement) -> AlgebraElement:
     return _relabel(x, x.context, m._table)
 
 
+def _bracketing(bucket: Mapping[int, int], k: int, bits: int, parities: Sequence[int]) -> tuple[dict, dict]:
+    """The right-normed bracketing ``θ(P) = Σ_x [x, θ(P_x)]``, ``θ(x) = x``, of
+    the weight-``k`` part ``P = Σ_x x P_x`` in ``bucket``, as numerators (some
+    possibly zero) split by parity, ``(even, odd)``.  Each ``[x, T] = x T -
+    (-1)^{|x||T|} T x`` reads ``|T|`` from the split; it has parity ``|x| + |T|``."""
+    split: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    if k == 1:
+        for w, n in bucket.items():
+            split[parities[w - (1 << bits)]][w] = n
+        return split
+    shift = bits * (k - 1)
+    by_first: dict[int, dict[int, int]] = {}
+    for w, n in bucket.items():
+        base = ((w >> shift) - 1) << shift  # w = x u is base + u
+        by_first.setdefault(base, {})[w - base] = n
+    for base, tails in by_first.items():
+        letter = (base >> shift) + 1 - (1 << bits)
+        odd = parities[letter]
+        for parity, terms in enumerate(_bracketing(tails, k - 1, bits, parities)):
+            sign = -1 if odd and parity else 1
+            out = split[odd ^ parity]
+            get = out.get
+            for u, n in terms.items():
+                w = base + u
+                out[w] = get(w, 0) + n
+                w = u << bits | letter
+                out[w] = get(w, 0) - sign * n
+    return split
+
+
 def is_primitive(x: AlgebraElement, wmax: int) -> bool:
     """Test whether ``x`` is a Lie element through weight ``wmax``.
 
-    Uses the Friedrichs criterion: an element of the tensor algebra
-    lies in the free Lie algebra exactly when it is primitive for the
-    unshuffle coproduct, i.e. when its reduced coproduct vanishes.  The
-    coproduct of a word is computed by enumerating letter subsets with
-    the Koszul sign of the unshuffle permutation, so the check is exact
-    for any mix of parities.  Cost grows as ``2^wmax`` per word, hence
-    the guard ``wmax <= min(max_weight, 5)``.
+    Uses the Dynkin–Specht–Wever criterion: the weight-``k`` part ``P``
+    of an element of the tensor algebra lies in the free Lie algebra
+    exactly when its right-normed bracketing ``θ(P)`` equals ``k P``.
+    The bracketing keeps every Koszul sign, so the test is exact for any
+    mix of parities and degrees, at every ``1 <= wmax <= max_weight``.
     """
-    limit = min(x.context.max_weight, 5)
-    if not isinstance(wmax, int) or isinstance(wmax, bool) or not 1 <= wmax <= limit:
-        raise ValueError(f"wmax must lie in 1..{limit}, got {wmax!r}")
-    parities = x.context._parities
-    bits = x.context._bits
-    unpack = x.context._unpack
-    # a pair of packed words (left, right) is keyed as one int: right
-    # has fewer than wmax letters, so it fits below bit bits * wmax
-    key_shift = bits * wmax
-    reduced: dict[int, int] = {}
-    for k in range(2, wmax + 1):  # weight-1 words are primitive by definition
-        for word, n in x._buckets[k].items():
-            letters = unpack(word, k)
-            word_parities = [parities[i] for i in letters]
-            for mask in range(1, (1 << k) - 1):
-                sign = 1
-                left = right = 1
-                odd_right_seen = 0  # odd letters already assigned to the right factor
-                for pos in range(k):
-                    if mask >> pos & 1:
-                        # letter jumps left past every unselected letter before it
-                        if word_parities[pos] and odd_right_seen % 2:
-                            sign = -sign
-                        left = left << bits | letters[pos]
-                    else:
-                        right = right << bits | letters[pos]
-                        odd_right_seen += word_parities[pos]
-                key = left << key_shift | right
-                reduced[key] = reduced.get(key, 0) + sign * n
-    return all(not c for c in reduced.values())
+    context = x.context
+    if not isinstance(wmax, int) or isinstance(wmax, bool) or not 1 <= wmax <= context.max_weight:
+        raise ValueError(f"wmax must lie in 1..{context.max_weight}, got {wmax!r}")
+    for k in range(2, wmax + 1):  # weight-1 words are Lie by definition
+        bucket = x._buckets[k]
+        even, odd = _bracketing(bucket, k, context._bits, context._parities)
+        if {w: n for w, n in (*even.items(), *odd.items()) if n} != {w: k * n for w, n in bucket.items()}:
+            return False
+    return True
 
 
 # -- canonical serialization -------------------------------------------
@@ -841,13 +848,14 @@ def encode(x: AlgebraElement, label: str = "series") -> str:
     ``"p/q"`` strings with positive denominators in lowest terms, terms
     in canonical order.  ``decode(encode(x)) == x``.
     """
-    ctx = x.context
-    payload = {
-        "order": ctx.max_weight,
-        "generators": [{"name": g.name, "degree": g.degree} for g in ctx.generators],
-        "series": {"label": label, "terms": terms_to_json(x)},
-    }
+    payload = {**_context_json(x.context), "series": {"label": label, "terms": terms_to_json(x)}}
     return json.dumps(payload, indent=2, ensure_ascii=False)
+
+
+def _context_json(context: AlgebraContext) -> dict:
+    """The ``"order"`` and ``"generators"`` fields that :func:`context_from_json` reads."""
+    gens = [{"name": g.name, "degree": g.degree} for g in context.generators]
+    return {"order": context.max_weight, "generators": gens}
 
 
 def _expect(condition: bool, message: str, path: str) -> None:

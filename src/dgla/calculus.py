@@ -6,9 +6,10 @@ direction, and the exponential/logarithm pair lives in the
 unit-augmented tensor algebra with the unit tracked implicitly (an
 element ``z`` stands for ``1 + z``).  The multi-argument
 Baker-Campbell-Hausdorff element is computed as the logarithm of a
-product of exponentials, so its output is primitive weight by weight
-whenever the inputs are; :func:`dgla.algebra.is_primitive` provides an
-independent cross-check.
+product of exponentials, so its output is a Lie element weight by
+weight whenever the inputs are; :func:`dgla.algebra.is_primitive`
+certifies that independently at every weight, by the
+Dynkin-Specht-Wever bracketing.
 
 Series with a nonzero constant term, such as ``T/(1 - e^T)``, are
 obtained by truncated division of scalar power series in one variable
@@ -269,11 +270,6 @@ def log_assoc(z: AlgebraElement) -> AlgebraElement:
     return _series_walk(z, lambda power: power * z, [table])[0]
 
 
-def _unital_product(z1: AlgebraElement, z2: AlgebraElement) -> AlgebraElement:
-    # (1 + z1)(1 + z2) with the unit kept implicit
-    return z1 + z2 + z1 * z2
-
-
 def bch(
     xs: Sequence[AlgebraElement], context: AlgebraContext | None = None
 ) -> AlgebraElement:
@@ -296,7 +292,8 @@ def bch(
         if degree not in (0, None):
             raise GradingError(f"bch arguments must have degree 0, got {degree}")
         factor = exp_assoc(x)
-        product = factor if product is None else _unital_product(product, factor)
+        # (1 + product)(1 + factor) with the unit kept implicit
+        product = factor if product is None else product + factor + product * factor
     assert product is not None
     return log_assoc(product)
 

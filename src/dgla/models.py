@@ -35,6 +35,7 @@ from .algebra import (
     AlgebraElement,
     GeneratorMorphism,
     SeriesParseError,
+    _context_json,
     _load_json,
     apply_morphism,
     bracket,
@@ -379,12 +380,7 @@ def _model_checks(model: CellModel) -> tuple[ModelCheck, ...]:
             defect = maurer_cartan_defect(model, context.gen(g.name))
             checks.append(ModelCheck(f"vertex_flatness[{g.name}]", not defect, defect or None))
     for g in context.generators:
-        differential = model.differential[g.name]
-        got = (
-            weight_component(differential, 1) if differential else context.zero()
-        )
-        expected = model.boundary0[g.name]
-        difference = got - expected
+        difference = weight_component(model.differential[g.name], 1) - model.boundary0[g.name]
         checks.append(
             ModelCheck(f"boundary_matches_weight1[{g.name}]", not difference, difference or None)
         )
@@ -447,8 +443,7 @@ def model_to_json_dict(model: CellModel, name: str) -> dict:
     context = model.context
     return {
         "model": name,
-        "order": model.order,
-        "generators": [{"name": g.name, "degree": g.degree} for g in context.generators],
+        **_context_json(context),
         "boundary0": {g.name: terms_to_json(model.boundary0[g.name]) for g in context.generators},
         "closure": {
             g.name: sorted(model.closure[g.name], key=lambda n: context.generator(n).index)

@@ -5,9 +5,11 @@ Bernoulli oracle uses the binomial recurrence instead of series
 division; the product, bracket and Leibniz oracles multiply one pair
 of terms at a time in ``Fraction`` arithmetic, reading elements only
 through ``terms()`` and rebuilding them through ``AlgebraContext.element``;
-and the flow oracle integrates the defining ODE weight by weight with
+the flow oracle integrates the defining ODE weight by weight with
 exact polynomial coefficients, using those kernels, instead of
-evaluating the closed-form operator series.
+evaluating the closed-form operator series; and the Lie-membership
+oracle enumerates unshuffles (Friedrichs) where the library brackets
+words (Dynkin-Specht-Wever).
 """
 
 from fractions import Fraction
@@ -89,6 +91,37 @@ def naive_operator_series(coeffs, direction, target):
             power = naive_bracket(direction, power)
         total = total + Fraction(coeffs.get(k, 0)) * power
     return total
+
+
+def friedrichs_primitive(x, wmax):
+    """Whether ``x`` is a Lie element through weight ``wmax``, by the
+    Friedrichs criterion: its reduced unshuffle coproduct vanishes.
+
+    Each word of weight 2 to ``wmax`` splits over every nonempty proper
+    subset of its letter positions into (chosen letters, the others),
+    with the Koszul sign of moving each chosen odd letter left past the
+    odd letters not chosen before it.  The cost is ``2^k`` per word.
+    """
+    parities = [g.degree % 2 for g in x.context.generators]
+    reduced = {}
+    for word, c in x.terms():
+        k = len(word)
+        if not 2 <= k <= wmax:
+            continue  # weight-1 words are Lie
+        for mask in range(1, 2**k - 1):
+            chosen = [bool(mask >> i & 1) for i in range(k)]
+            left = tuple(letter for letter, pick in zip(word, chosen) if pick)
+            right = tuple(letter for letter, pick in zip(word, chosen) if not pick)
+            crossings = sum(
+                parities[word[i]] * parities[word[j]]
+                for i in range(k)
+                if chosen[i]
+                for j in range(i)
+                if not chosen[j]
+            )
+            key = (left, right)
+            reduced[key] = reduced.get(key, Fraction(0)) + (-1) ** crossings * c
+    return not any(reduced.values())
 
 
 def bernoulli_recurrence(n: int) -> Fraction:

@@ -249,8 +249,11 @@ class TestPrimitivity:
         assert not is_primitive(CTX.word(("e", "f")), 2)
 
     def test_guard(self):
-        with pytest.raises(ValueError):
-            is_primitive(CTX.gen("e"), 6)
+        # every weight up to the truncation is accepted; nothing else
+        assert is_primitive(CTX.gen("e"), CTX.max_weight)
+        for wmax in (0, CTX.max_weight + 1, True):
+            with pytest.raises(ValueError):
+                is_primitive(CTX.gen("e"), wmax)
 
 
 class TestSerialization:

@@ -2,7 +2,8 @@
 per-term ``Fraction`` oracles, on elements whose coefficients mix
 denominators across weights, at truncation orders 3 to 6 and in
 contexts of 1 to 9 generators (1 to 4 bits per letter of a packed
-word); and the reduced stored form of the result of every operation."""
+word); the Lie-membership test against the unshuffle oracle; and the
+reduced stored form of the result of every operation."""
 
 from fractions import Fraction
 from math import gcd
@@ -23,10 +24,12 @@ from dgla import (
     exp_assoc,
     extend_differential,
     flow,
+    is_primitive,
     log_assoc,
     weight_component,
 )
 from oracles import (
+    friedrichs_primitive,
     iterative_flow,
     naive_bracket,
     naive_in_context,
@@ -111,6 +114,35 @@ def graded_elements(draw, context, degree, weights=None, fractional=None):
 
 
 @st.composite
+def lie_candidates(draw, context):
+    """A sum of one to three pieces, each a nested bracket of generators,
+    a bare word, or the square of such a bracket (a Lie element exactly
+    when the bracket is odd: ``y y = 1/2 [y, y]``), scaled by a rational.
+    The pieces may differ in degree and parity."""
+    gens = [context.gen(name) for name in context.names]
+
+    def nested(depth):
+        if depth == 0 or draw(st.booleans()):
+            return draw(st.sampled_from(gens))
+        return bracket(nested(depth - 1), nested(depth - 1))
+
+    total = context.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("bracket", "bracket", "word", "square")))
+        if kind == "bracket":
+            piece = nested(4)
+        elif kind == "word":
+            letters = st.sampled_from(context.names)
+            piece = context.word(draw(st.lists(letters, min_size=1, max_size=context.max_weight)))
+        else:
+            piece = nested(2)
+            piece = piece * piece
+        numerator = draw(st.integers(-6, 6).filter(bool))
+        total = total + Fraction(numerator, draw(st.sampled_from(DENOMINATORS))) * piece
+    return total
+
+
+@st.composite
 def series_coefficients(draw, top):
     return {
         k: Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from(DENOMINATORS)))
@@ -158,6 +190,15 @@ class TestProductAndBracket:
         # x (c x) - (c x) x cancels word by word inside one kernel call
         assert bracket(x, scale * x).is_zero()
         assert naive_bracket(x, scale * x).is_zero()
+
+
+class TestLieMembership:
+    @settings(max_examples=150, deadline=None)
+    @given(contexts, st.data())
+    def test_against_the_unshuffle_oracle(self, ctx, data):
+        x = data.draw(lie_candidates(ctx))
+        for wmax in range(1, min(ctx.max_weight, 5) + 1):
+            assert is_primitive(x, wmax) == friedrichs_primitive(x, wmax)
 
 
 class TestLeibniz:

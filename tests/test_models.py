@@ -29,6 +29,7 @@ from dgla import (
     extend_differential,
     flow,
     interval_complex,
+    is_primitive,
     maurer_cartan_defect,
     model_from_json_dict,
     model_to_json_dict,
@@ -284,6 +285,25 @@ class TestSubdivisionInstance:
             lhs = substitute(disc.differential[name])
             rhs = extend_differential(bigon_a, substitute(disc.context.gen(name)))
             assert lhs == rhs, name
+
+
+class TestLieCertificate:
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_every_differential_is_a_lie_element(self, order):
+        data = compute_symmetric_data(order)
+        series = {"v": data.v, "x": data.x, "q": data.q}
+        for name in MODEL_NAMES:
+            for g, dg in build_named_model(name, order).differential.items():
+                series[f"{name}.D{g}"] = dg
+        failed = [label for label, s in series.items() if not is_primitive(s, order)]
+        assert not failed
+
+    def test_a_bare_word_breaks_the_certificate(self, bigon_sym):
+        context = bigon_sym.context
+        broken = bigon_sym.differential["g"] + context.word(("e", "f"))
+        assert is_primitive(broken, 1)
+        assert not is_primitive(broken, 2)
+        assert not is_primitive(broken, context.max_weight)
 
 
 class TestVerificationFailures:
