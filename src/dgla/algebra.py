@@ -27,11 +27,11 @@ module is the only one that knows the format.  :class:`fractions.Fraction` value
 are read in only by :meth:`AlgebraContext.element` (and the
 :class:`AlgebraElement` constructor it uses) and built only by
 :meth:`AlgebraElement.terms` and :meth:`AlgebraElement.coefficient`,
-which the serialisation and display code read; every scalar at the API
-is an :class:`int` or :class:`Fraction`, and floats are rejected.  All
-types are immutable after construction and safe to share between
-threads, and the module-level operations are pure functions: identical
-inputs always produce identical canonical output.
+which the display code reads (JSON is written and read from the integers);
+every scalar at the API is an :class:`int` or :class:`Fraction`, and floats
+are rejected.  All types are immutable after construction and safe to share
+between threads, and the module-level operations are pure functions:
+identical inputs always produce identical canonical output.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 Word = tuple[int, ...]
 
@@ -554,6 +554,18 @@ def _letters(x: AlgebraElement, top: int) -> list[int]:
     return sorted(found)
 
 
+def _terms_using(x: AlgebraElement, letters: Collection[int]) -> AlgebraElement:
+    """The terms of ``x`` whose words contain a letter of ``letters``."""
+    context = x.context
+    bits = context._bits
+    mask = (1 << bits) - 1
+    out = list(context._no_terms)
+    for k, bucket in enumerate(x._buckets if letters else ()):  # no letters: no terms
+        shifts = range(0, bits * k, bits)
+        out[k] = {w: n for w, n in bucket.items() if any(w >> shift & mask in letters for shift in shifts)}
+    return _element(context, out, x._den)
+
+
 def _relabel(
     x: AlgebraElement, context: AlgebraContext, table: Sequence[tuple[int, int] | None]
 ) -> AlgebraElement:
@@ -826,18 +838,12 @@ _COEFF_RE = re.compile(r"^(-?)(0|[1-9][0-9]*)/([1-9][0-9]*)$")
 # Highest order a payload may declare: a context holds one bucket per weight.
 _MAX_PAYLOAD_ORDER = 64
 
-
-def _coeff_str(c: Fraction) -> str:
-    return f"{c.numerator}/{c.denominator}"
+_TERM_FIELDS = frozenset(("coeff", "word"))
 
 
 def terms_to_json(x: AlgebraElement) -> list[dict]:
-    """The canonical term list: ``[{"coeff": "p/q", "word": [names]}, ...]``."""
-    names = x.context.word_names
-    return [
-        {"coeff": _coeff_str(coeff), "word": list(names(word))}
-        for word, coeff in x.terms()
-    ]
+    """The canonical term list ``[{"coeff": "p/q", "word": [names]}, ...]`` that :func:`encode` writes."""
+    return json.loads(_dump_json(x))
 
 
 def encode(x: AlgebraElement, label: str = "series") -> str:
@@ -846,10 +852,10 @@ def encode(x: AlgebraElement, label: str = "series") -> str:
     The payload records the context (generator list and truncation
     order) alongside the labeled term list, coefficients as base-10
     ``"p/q"`` strings with positive denominators in lowest terms, terms
-    in canonical order.  ``decode(encode(x)) == x``.
+    in canonical order.  ``decode(encode(x)) == x``.  The bytes are those of
+    ``json.dumps(payload, indent=2, ensure_ascii=False)``, written straight from the stored numerators.
     """
-    payload = {**_context_json(x.context), "series": {"label": label, "terms": terms_to_json(x)}}
-    return json.dumps(payload, indent=2, ensure_ascii=False)
+    return _dump_json({**_context_json(x.context), "series": {"label": label, "terms": x}})
 
 
 def _context_json(context: AlgebraContext) -> dict:
@@ -858,29 +864,62 @@ def _context_json(context: AlgebraContext) -> dict:
     return {"order": context.max_weight, "generators": gens}
 
 
+def _dump_json(value: object, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)`` for a JSON value
+    with string keys, in which an element stands for its term list."""
+    inner = indent + "  "
+    if isinstance(value, AlgebraElement):
+        items, ends = _term_texts(value, inner), "[]"
+    elif isinstance(value, dict):
+        items, ends = [f"{_dump_json(key)}: {_dump_json(v, inner)}" for key, v in value.items()], "{}"
+    elif isinstance(value, list):
+        items, ends = [_dump_json(v, inner) for v in value], "[]"
+    else:
+        return json.dumps(value, ensure_ascii=False)
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}" if items else ends
+
+
+def _term_texts(x: AlgebraElement, indent: str) -> list[str]:
+    """The terms of ``x`` in canonical order as :func:`_dump_json` writes them at ``indent``: one
+    template fill per term, the coefficient ``n/_den`` reduced by one gcd and the letters taken
+    from a table of the generator names, each escaped once."""
+    context = x.context
+    template = f'{{\n{indent}  "coeff": "%d/%d",\n{indent}  "word": [\n{indent}    %s\n'
+    template += f"{indent}  ]\n{indent}}}"
+    comma = f",\n{indent}    "
+    names = [json.dumps(name, ensure_ascii=False) for name in context.names]
+    bits = context._bits
+    mask = (1 << bits) - 1
+    den, gcd = x._den, math.gcd
+    texts = []
+    for k, bucket in enumerate(x._buckets):
+        shifts = range(bits * (k - 1), -1, -bits)
+        for w, n in sorted(bucket.items()):
+            common = gcd(n, den)
+            word = comma.join([names[w >> shift & mask] for shift in shifts])
+            texts.append(template % (n // common, den // common, word))
+    return texts
+
+
 def _expect(condition: bool, message: str, path: str) -> None:
     if not condition:
         raise SeriesParseError(message, position=path)
 
 
-def _parse_coeff(raw: object, path: str) -> tuple[int, int]:
-    # the signed numerator and the denominator of a canonical "p/q"
-    _expect(isinstance(raw, str), "coefficient must be a string", path)
-    match = _COEFF_RE.match(raw)  # type: ignore[arg-type]
-    _expect(match is not None, f"coefficient {raw!r} is not of the form p/q with q > 0", path)
-    sign, num, den = match.groups()  # type: ignore[union-attr]
-    try:
-        numerator = int(num)
-        denominator = int(den)
-    except ValueError as exc:  # more digits than the interpreter converts
-        raise SeriesParseError(str(exc), position=path) from None
-    _expect(numerator != 0, "zero coefficients are never stored", path)
-    _expect(
-        math.gcd(numerator, denominator) == 1,
-        f"coefficient {raw!r} is not in lowest terms",
-        path,
-    )
-    return (-numerator if sign == "-" else numerator), denominator
+def _parse_coeff(raw: object) -> tuple[int, int]:
+    # the signed numerator and the denominator of a canonical "p/q"; a defect raises ValueError
+    if not isinstance(raw, str):
+        raise ValueError("coefficient must be a string")
+    match = _COEFF_RE.match(raw)
+    if match is None:
+        raise ValueError(f"coefficient {raw!r} is not of the form p/q with q > 0")
+    sign, num, den = match.groups()
+    numerator, denominator = int(num), int(den)  # more digits than the interpreter converts raise
+    if not numerator:
+        raise ValueError("zero coefficients are never stored")
+    if math.gcd(numerator, denominator) != 1:
+        raise ValueError(f"coefficient {raw!r} is not in lowest terms")
+    return (-numerator if sign else numerator), denominator
 
 
 def context_from_json(data: object, path: str = "") -> AlgebraContext:
@@ -921,39 +960,46 @@ def element_from_json_terms(
 
     Rejects non-canonical coefficients (``"2/4"``, zero, negative
     denominators), unknown generator names, overweight or empty words,
-    and term lists not already in canonical order.
+    and term lists not already in canonical order.  ``data`` is as :func:`json.loads` returns it;
+    one loop checks each term in a fixed order, building a message only for the defect it reports.
     """
     _expect(isinstance(data, list), "terms must be a list", path)
-    index_by_name = context._index_by_name
-    bits = context._bits
+    index = context._index_by_name
+    bits, limit = context._bits, context.max_weight
+    parsed: dict[str, tuple[int, int]] = {}  # a series repeats few coefficients
     terms: list[tuple[int, int, int, int]] = []  # weight, packed word, numerator, denominator
     previous = 0  # below every packed word; packed order is canonical order
     for i, item in enumerate(data):  # type: ignore[union-attr]
-        tpath = f"{path}[{i}]"
-        _expect(isinstance(item, dict), "term must be an object", tpath)
-        extra = set(item) - {"coeff", "word"}
-        _expect(not extra, f"unknown term fields {sorted(extra)}", tpath)
-        numerator, denominator = _parse_coeff(item.get("coeff"), f"{tpath}.coeff")
-        raw_word = item.get("word")
-        _expect(isinstance(raw_word, list) and bool(raw_word), "word must be a nonempty list", f"{tpath}.word")
+        if not isinstance(item, dict):
+            raise SeriesParseError("term must be an object", f"{path}[{i}]")
+        if not item.keys() <= _TERM_FIELDS:
+            extra = sorted(item.keys() - _TERM_FIELDS)
+            raise SeriesParseError(f"unknown term fields {extra}", f"{path}[{i}]")
+        raw = item.get("coeff")
+        coeff = parsed.get(raw) if isinstance(raw, str) else None
+        if coeff is None:
+            try:
+                coeff = parsed[raw] = _parse_coeff(raw)
+            except ValueError as exc:
+                raise SeriesParseError(str(exc), f"{path}[{i}].coeff") from None
+        word = item.get("word")
+        if not isinstance(word, list) or not word:
+            raise SeriesParseError("word must be a nonempty list", f"{path}[{i}].word")
         packed = 1
-        for j, letter in enumerate(raw_word):  # type: ignore[union-attr]
-            _expect(isinstance(letter, str), "word letters must be generator names", f"{tpath}.word[{j}]")
-            _expect(
-                letter in index_by_name,
-                f"unknown generator {letter!r}",
-                f"{tpath}.word[{j}]",
-            )
-            packed = packed << bits | index_by_name[letter]
-        weight = len(raw_word)  # type: ignore[arg-type]
-        _expect(
-            weight <= context.max_weight,
-            f"word of weight {weight} exceeds order {context.max_weight}",
-            f"{tpath}.word",
-        )
-        _expect(previous < packed, "terms are not in canonical order", tpath)
+        try:
+            for letter in word:
+                packed = packed << bits | index[letter]
+        except (KeyError, TypeError):  # report the first letter that is not a name
+            j, bad = next((j, c) for j, c in enumerate(word) if not isinstance(c, str) or c not in index)
+            where = f"{path}[{i}].word[{j}]"
+            _expect(isinstance(bad, str), "word letters must be generator names", where)
+            raise SeriesParseError(f"unknown generator {bad!r}", where) from None
+        if len(word) > limit:
+            raise SeriesParseError(f"word of weight {len(word)} exceeds order {limit}", f"{path}[{i}].word")
+        if packed <= previous:
+            raise SeriesParseError("terms are not in canonical order", f"{path}[{i}]")
         previous = packed
-        terms.append((weight, packed, numerator, denominator))
+        terms.append((len(word), packed, *coeff))
     den = math.lcm(*(term[3] for term in terms))
     buckets = context._empty_buckets()
     for weight, packed, numerator, denominator in terms:

@@ -36,7 +36,9 @@ from .algebra import (
     GeneratorMorphism,
     SeriesParseError,
     _context_json,
+    _dump_json,
     _load_json,
+    _terms_using,
     apply_morphism,
     bracket,
     context_from_json,
@@ -385,14 +387,8 @@ def _model_checks(model: CellModel) -> tuple[ModelCheck, ...]:
             ModelCheck(f"boundary_matches_weight1[{g.name}]", not difference, difference or None)
         )
     for g in context.generators:
-        allowed = {context.generator(name).index for name in model.closure[g.name]}
-        witness = context.element(
-            {
-                word: coeff
-                for word, coeff in model.differential[g.name].terms()
-                if not set(word) <= allowed
-            }
-        )
+        outside = {h.index for h in context.generators if h.name not in model.closure[g.name]}
+        witness = _terms_using(model.differential[g.name], outside)
         checks.append(ModelCheck(f"locality[{g.name}]", not witness, witness or None))
     return tuple(checks)
 
@@ -440,19 +436,7 @@ def compare_reference_second_order(order: int = 6) -> bool:
 
 def model_to_json_dict(model: CellModel, name: str) -> dict:
     """The JSON envelope: generators, boundaries, closures, differentials."""
-    context = model.context
-    return {
-        "model": name,
-        **_context_json(context),
-        "boundary0": {g.name: terms_to_json(model.boundary0[g.name]) for g in context.generators},
-        "closure": {
-            g.name: sorted(model.closure[g.name], key=lambda n: context.generator(n).index)
-            for g in context.generators
-        },
-        "differential": {
-            g.name: terms_to_json(model.differential[g.name]) for g in context.generators
-        },
-    }
+    return json.loads(encode_model(model, name))
 
 
 def model_from_json_dict(data: object) -> tuple[str, CellModel]:
@@ -500,7 +484,16 @@ def model_from_json_dict(data: object) -> tuple[str, CellModel]:
 
 
 def encode_model(model: CellModel, name: str) -> str:
-    return json.dumps(model_to_json_dict(model, name), indent=2, ensure_ascii=False)
+    """The envelope's text, as :func:`~dgla.algebra.encode` writes a series:
+    ``json.dumps`` with an indent, the terms read from the stored numerators."""
+    gens = model.context.generators
+    return _dump_json({
+        "model": name,
+        **_context_json(model.context),
+        "boundary0": {g.name: model.boundary0[g.name] for g in gens},
+        "closure": {g.name: [h.name for h in gens if h.name in model.closure[g.name]] for g in gens},
+        "differential": {g.name: model.differential[g.name] for g in gens},
+    })
 
 
 def decode_model(text: str) -> tuple[str, CellModel]:

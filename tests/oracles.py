@@ -9,9 +9,12 @@ the flow oracle integrates the defining ODE weight by weight with
 exact polynomial coefficients, using those kernels, instead of
 evaluating the closed-form operator series; and the Lie-membership
 oracle enumerates unshuffles (Friedrichs) where the library brackets
-words (Dynkin-Specht-Wever).
+words (Dynkin-Specht-Wever); the JSON oracles build one dict per term
+from ``terms()`` and hand the payload to ``json.dumps``, where the
+library writes the text straight from its stored numerators.
 """
 
+import json
 from fractions import Fraction
 from math import comb
 
@@ -122,6 +125,44 @@ def friedrichs_primitive(x, wmax):
             key = (left, right)
             reduced[key] = reduced.get(key, Fraction(0)) + (-1) ** crossings * c
     return not any(reduced.values())
+
+
+def dumps_terms(x):
+    """The canonical term list, one dict per term of ``terms()``."""
+    names = x.context.word_names
+    return [{"coeff": f"{c.numerator}/{c.denominator}", "word": list(names(word))} for word, c in x.terms()]
+
+
+def _dumps_header(context):
+    gens = [{"name": g.name, "degree": g.degree} for g in context.generators]
+    return {"order": context.max_weight, "generators": gens}
+
+
+def dumps_encode(x, label="series"):
+    """The canonical series text, by ``json.dumps`` with an indent."""
+    payload = {**_dumps_header(x.context), "series": {"label": label, "terms": dumps_terms(x)}}
+    return json.dumps(payload, indent=2, ensure_ascii=False)
+
+
+def dumps_model_dict(model, name):
+    """The model envelope: header, boundaries, closures in generator
+    order, differentials."""
+    context = model.context
+    return {
+        "model": name,
+        **_dumps_header(context),
+        "boundary0": {g.name: dumps_terms(model.boundary0[g.name]) for g in context.generators},
+        "closure": {
+            g.name: sorted(model.closure[g.name], key=lambda n: context.generator(n).index)
+            for g in context.generators
+        },
+        "differential": {g.name: dumps_terms(model.differential[g.name]) for g in context.generators},
+    }
+
+
+def dumps_encode_model(model, name):
+    """The canonical envelope text, by ``json.dumps`` with an indent."""
+    return json.dumps(dumps_model_dict(model, name), indent=2, ensure_ascii=False)
 
 
 def bernoulli_recurrence(n: int) -> Fraction:

@@ -2,12 +2,14 @@
 per-term ``Fraction`` oracles, on elements whose coefficients mix
 denominators across weights, at truncation orders 3 to 6 and in
 contexts of 1 to 9 generators (1 to 4 bits per letter of a packed
-word); the Lie-membership test against the unshuffle oracle; and the
-reduced stored form of the result of every operation."""
+word); the Lie-membership test against the unshuffle oracle; the JSON
+writer against ``json.dumps`` of per-term dicts; and the reduced stored
+form of the result of every operation."""
 
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,15 +22,24 @@ from dgla import (
     bracket,
     build_named_model,
     decode,
+    decode_model,
     encode,
+    encode_model,
     exp_assoc,
     extend_differential,
     flow,
     is_primitive,
     log_assoc,
+    model_to_json_dict,
+    terms_to_json,
     weight_component,
 )
+from dgla.models import MODEL_NAMES
 from oracles import (
+    dumps_encode,
+    dumps_encode_model,
+    dumps_model_dict,
+    dumps_terms,
     friedrichs_primitive,
     iterative_flow,
     naive_bracket,
@@ -50,6 +61,15 @@ CONTEXTS = {
     for order in ORDERS
 }
 contexts = st.sampled_from(sorted(CONTEXTS)).map(CONTEXTS.__getitem__)
+# the same contexts with names that JSON escapes or that are not ASCII
+ESCAPED_NAMES = ("é", 'a"b', "x\\y", "∂", "\t", "h", "c", "k", "m")
+ESCAPED_CONTEXTS = {
+    (n, order): AlgebraContext([(name, d) for name, (_, d) in zip(ESCAPED_NAMES, LETTERS[:n])], order)
+    for n, order in CONTEXTS
+}
+named_contexts = st.sampled_from(sorted(CONTEXTS)).flatmap(
+    lambda key: st.sampled_from((CONTEXTS[key], ESCAPED_CONTEXTS[key]))
+)
 DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 9, 12, 16, 25, 27, 35)
 KERNEL_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -199,6 +219,29 @@ class TestLieMembership:
         x = data.draw(lie_candidates(ctx))
         for wmax in range(1, min(ctx.max_weight, 5) + 1):
             assert is_primitive(x, wmax) == friedrichs_primitive(x, wmax)
+
+
+class TestJsonWriter:
+    @settings(max_examples=100, deadline=None)
+    @given(named_contexts, st.sampled_from(("series", 'Dg "∂"\\\t')), st.data())
+    def test_encode_against_the_dumps_oracle(self, ctx, label, data):
+        # each weight draws its own denominator; the sum of two degrees
+        # is not homogeneous, and the zero element writes an empty list
+        x = data.draw(graded_elements(ctx, 0)) + data.draw(graded_elements(ctx, -1))
+        for element in (x, ctx.zero()):
+            assert encode(element, label=label) == dumps_encode(element, label)
+            assert terms_to_json(element) == dumps_terms(element)
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_every_model_against_the_dumps_oracle(self, order):
+        for name in MODEL_NAMES:
+            model = build_named_model(name, order)
+            text = encode_model(model, name)
+            assert text == dumps_encode_model(model, name)
+            assert model_to_json_dict(model, name) == dumps_model_dict(model, name)
+            assert decode_model(text) == (name, model)
+            for dg in model.differential.values():
+                assert decode(encode(dg)) == dg
 
 
 class TestLeibniz:

@@ -499,6 +499,154 @@ class TestDecoderFuzz:
             decode(json.dumps(payload))
 
 
+# One valid series at order 3, and per case a defect put into it, with
+# the message and position the decoder reports.
+_HEADER = {
+    "order": 3,
+    "generators": [{"name": "a", "degree": -1}, {"name": "b", "degree": -1}, {"name": "e", "degree": 0}],
+}
+_TERMS = [
+    {"coeff": "1/1", "word": ["b"]},
+    {"coeff": "-1/2", "word": ["e", "a"]},
+    {"coeff": "1/3", "word": ["e", "e", "b"]},
+]
+_DIGITS = "1" * 4301  # past the interpreter's limit on int <-> str conversion
+
+
+def _series(i, term):
+    terms = [*_TERMS[:i], term, *_TERMS[i + 1 :]]
+    return json.dumps({**_HEADER, "series": {"label": "s", "terms": terms}})
+
+
+def _envelope_letter(letters):
+    payload = model_to_json_dict(build_named_model("disc1", 3), "disc1")
+    payload["differential"]["g"][2]["word"] = letters
+    return json.dumps(payload)
+
+
+def _digit_limit_message():
+    with pytest.raises(ValueError) as caught:
+        int(_DIGITS)
+    return str(caught.value)
+
+
+_REJECTIONS = {  # case: (text, message, position)
+    "term-not-an-object": (
+        lambda: _series(1, ["e", "a"]),
+        "term must be an object",
+        "series.terms[1]",
+    ),
+    "extra-field": (
+        lambda: _series(1, {**_TERMS[1], "weight": 2}),
+        "unknown term fields ['weight']",
+        "series.terms[1]",
+    ),
+    "reducible": (
+        lambda: _series(0, {"coeff": "2/4", "word": ["b"]}),
+        "coefficient '2/4' is not in lowest terms",
+        "series.terms[0].coeff",
+    ),
+    "zero": (
+        lambda: _series(0, {"coeff": "0/1", "word": ["b"]}),
+        "zero coefficients are never stored",
+        "series.terms[0].coeff",
+    ),
+    "negative-denominator": (
+        lambda: _series(0, {"coeff": "1/-2", "word": ["b"]}),
+        "coefficient '1/-2' is not of the form p/q with q > 0",
+        "series.terms[0].coeff",
+    ),
+    "numerator-past-the-digit-limit": (
+        lambda: _series(0, {"coeff": _DIGITS + "/1", "word": ["b"]}),
+        _digit_limit_message,
+        "series.terms[0].coeff",
+    ),
+    "word-not-a-list": (
+        lambda: _series(1, {"coeff": "-1/2", "word": "ea"}),
+        "word must be a nonempty list",
+        "series.terms[1].word",
+    ),
+    "empty-word": (
+        lambda: _series(1, {"coeff": "-1/2", "word": []}),
+        "word must be a nonempty list",
+        "series.terms[1].word",
+    ),
+    "non-string-letter": (
+        lambda: _series(1, {"coeff": "-1/2", "word": ["e", 1]}),
+        "word letters must be generator names",
+        "series.terms[1].word[1]",
+    ),
+    "unknown-letter": (
+        lambda: _series(2, {"coeff": "1/3", "word": ["e", "e", "z"]}),
+        "unknown generator 'z'",
+        "series.terms[2].word[2]",
+    ),
+    "overweight-word": (
+        lambda: _series(2, {"coeff": "1/3", "word": ["e", "e", "b", "a"]}),
+        "word of weight 4 exceeds order 3",
+        "series.terms[2].word",
+    ),
+    "out-of-order": (
+        lambda: json.dumps({**_HEADER, "series": {"label": "s", "terms": [_TERMS[1], _TERMS[0], _TERMS[2]]}}),
+        "terms are not in canonical order",
+        "series.terms[1]",
+    ),
+    "duplicate-word": (
+        lambda: _series(2, {"coeff": "1/3", "word": ["e", "a"]}),
+        "terms are not in canonical order",
+        "series.terms[2]",
+    ),
+    "envelope-differential-g": (
+        lambda: _envelope_letter(["g", "x"]),
+        "unknown generator 'x'",
+        "differential.g[2].word[1]",
+    ),
+    # where a term has two defects, the check that comes first reports
+    "fields-before-coefficient": (
+        lambda: _series(1, {"coeff": "2/4", "word": ["e", "a"], "w": 1}),
+        "unknown term fields ['w']",
+        "series.terms[1]",
+    ),
+    "coefficient-before-word": (
+        lambda: _series(1, {"coeff": "2/4", "word": []}),
+        "coefficient '2/4' is not in lowest terms",
+        "series.terms[1].coeff",
+    ),
+    "unknown-letter-before-non-string": (
+        lambda: _series(1, {"coeff": "-1/2", "word": ["z", 1]}),
+        "unknown generator 'z'",
+        "series.terms[1].word[0]",
+    ),
+    "non-string-before-unknown-letter": (
+        lambda: _series(1, {"coeff": "-1/2", "word": [None, "z"]}),
+        "word letters must be generator names",
+        "series.terms[1].word[0]",
+    ),
+    "letters-before-weight": (
+        lambda: _series(2, {"coeff": "1/3", "word": ["e", "e", "b", "z"]}),
+        "unknown generator 'z'",
+        "series.terms[2].word[3]",
+    ),
+    "letters-before-order": (
+        lambda: _series(2, {"coeff": "1/3", "word": ["b", "z"]}),
+        "unknown generator 'z'",
+        "series.terms[2].word[1]",
+    ),
+}
+
+
+class TestDecoderRejections:
+    @pytest.mark.parametrize("case", sorted(_REJECTIONS))
+    def test_message_and_position(self, case):
+        make_text, message, position = _REJECTIONS[case]
+        message = message() if callable(message) else message
+        decoder = decode_model if case.startswith("envelope") else decode
+        with pytest.raises(SeriesParseError) as caught:
+            decoder(make_text())
+        assert caught.value.position == position
+        assert str(caught.value) == f"{message} (at {position})"
+
+
 class TestGenericOneComplex:
     def test_theta_graph_model_verifies(self):
         theta = OneComplex(
