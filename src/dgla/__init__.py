@@ -37,7 +37,6 @@ from .algebra import (
 from .calculus import (
     FlatnessError,
     ModelError,
-    OperatorSeries,
     apply_operator_series,
     bch,
     bernoulli,
@@ -91,7 +90,6 @@ __all__ = [
     "ModelCheck",
     "ModelError",
     "OneComplex",
-    "OperatorSeries",
     "SeriesParseError",
     "SymmetricBigonData",
     "VerificationReport",

@@ -833,7 +833,7 @@ def is_primitive(x: AlgebraElement, wmax: int) -> bool:
 
 # -- canonical serialization -------------------------------------------
 
-_COEFF_RE = re.compile(r"^(-?)(0|[1-9][0-9]*)/([1-9][0-9]*)$")
+_COEFF_RE = re.compile(r"(-?)(0|[1-9][0-9]*)/([1-9][0-9]*)")
 
 # Highest order a payload may declare: a context holds one bucket per weight.
 _MAX_PAYLOAD_ORDER = 64
@@ -910,7 +910,7 @@ def _parse_coeff(raw: object) -> tuple[int, int]:
     # the signed numerator and the denominator of a canonical "p/q"; a defect raises ValueError
     if not isinstance(raw, str):
         raise ValueError("coefficient must be a string")
-    match = _COEFF_RE.match(raw)
+    match = _COEFF_RE.fullmatch(raw)
     if match is None:
         raise ValueError(f"coefficient {raw!r} is not of the form p/q with q > 0")
     sign, num, den = match.groups()

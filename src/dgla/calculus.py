@@ -1,15 +1,16 @@
 """Analytic layer over the truncated tensor algebra.
 
 Everything here is exact: scalar power series are lists of rationals,
-operator series are polynomials in ``ad`` of a chosen degree-0
-direction, and the exponential/logarithm pair lives in the
-unit-augmented tensor algebra with the unit tracked implicitly (an
-element ``z`` stands for ``1 + z``).  The multi-argument
-Baker-Campbell-Hausdorff element is computed as the logarithm of a
-product of exponentials, so its output is a Lie element weight by
-weight whenever the inputs are; :func:`dgla.algebra.is_primitive`
-certifies that independently at every weight, by the
-Dynkin-Specht-Wever bracketing.
+operator series are the same lists indexed by the power of ``ad`` of a
+chosen degree-0 direction, and the exponential/logarithm pair lives in
+the unit-augmented tensor algebra with the unit tracked implicitly (an
+element ``z`` stands for ``1 + z``).  A flow is one walk of
+``(1 - e^{-t ad})/ad`` over ``D(direction) + [start, direction]``.
+The multi-argument Baker-Campbell-Hausdorff element is computed as the
+logarithm of a product of exponentials, so its output is a Lie element
+weight by weight whenever the inputs are;
+:func:`dgla.algebra.is_primitive` certifies that independently at
+every weight, by the Dynkin-Specht-Wever bracketing.
 
 Series with a nonzero constant term, such as ``T/(1 - e^T)``, are
 obtained by truncated division of scalar power series in one variable
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .algebra import (
     AlgebraContext,
@@ -43,7 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "FlatnessError",
     "ModelError",
-    "OperatorSeries",
     "apply_operator_series",
     "bch",
     "bernoulli",
@@ -139,109 +139,67 @@ def bernoulli(n: int) -> Fraction:
 # -- operator series ------------------------------------------------------
 
 
-class OperatorSeries:
-    """A polynomial ``sum_k c_k T^k`` awaiting ``T = ad`` of a direction.
+def _exponential(scale: int | Fraction, order: int) -> list[Fraction]:
+    # exp(scale * T) through T^order
+    s = as_fraction(scale)
+    facts = _factorials(order)
+    return [s**k / facts[k] for k in range(order + 1)]
 
-    Coefficients are canonical rationals with zeros dropped.
-    """
 
-    __slots__ = ("coeffs",)
+def _flow_integrator(t: Fraction, order: int) -> list[Fraction]:
+    # (1 - exp(-t T)) / T through T^order
+    facts = _factorials(order + 1)
+    return [(-t) ** k * t / facts[k + 1] for k in range(order + 1)]
 
-    def __init__(self, coeffs: Mapping[int, int | Fraction] | Iterable[tuple[int, int | Fraction]]) -> None:
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        cleaned: dict[int, Fraction] = {}
-        for k, raw in items:
-            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-                raise ValueError(f"powers must be nonnegative integers, got {k!r}")
-            value = as_fraction(raw)
-            if value:
-                cleaned[k] = value
-        self.coeffs = cleaned
 
-    @classmethod
-    def exponential(cls, scale: int | Fraction, order: int) -> OperatorSeries:
-        """``exp(scale * T)`` through ``T^order``."""
-        s = as_fraction(scale)
-        facts = _factorials(order)
-        return cls({k: s**k / facts[k] for k in range(order + 1)})
-
-    @classmethod
-    def flow_integrator(cls, t: int | Fraction, order: int) -> OperatorSeries:
-        """``(1 - exp(-t T)) / T`` through ``T^order``."""
-        s = as_fraction(t)
-        facts = _factorials(order + 1)
-        return cls(
-            {k: (-1) ** k * s ** (k + 1) / facts[k + 1] for k in range(order + 1)}
-        )
-
-    @classmethod
-    def edge_source_series(cls, order: int) -> OperatorSeries:
-        """``T/(1 - e^T)``: the series weighting an edge's source vertex.
-
-        Obtained by truncated division of scalar power series, not from
-        the Bernoulli table, so it stays an independent route from the
-        explicit Bernoulli-sum form of the edge differential.
-        """
-        x = [Fraction(0), Fraction(1)]
-        return cls(enumerate(_series_quotient(x, _one_minus_exp(order + 1, 1), order)))
-
-    @classmethod
-    def edge_target_series(cls, order: int) -> OperatorSeries:
-        """``T/(1 - e^{-T})``: the series weighting an edge's target vertex."""
-        x = [Fraction(0), Fraction(1)]
-        return cls(enumerate(_series_quotient(x, _one_minus_exp(order + 1, -1), order)))
-
-    def __repr__(self) -> str:
-        body = " + ".join(f"({c}) T^{k}" for k, c in sorted(self.coeffs.items()))
-        return f"<OperatorSeries {body or '0'}>"
+def _edge_series(sign: int, order: int) -> list[Fraction]:
+    # T/(1 - e^{sign T}) through T^order: sign 1 weights an edge's source
+    # vertex, sign -1 its target.  Obtained by truncated division of
+    # scalar power series, not from the Bernoulli table, so it stays an
+    # independent route from the explicit Bernoulli-sum form.
+    return _series_quotient([Fraction(0), Fraction(1)], _one_minus_exp(order + 1, sign), order)
 
 
 def apply_operator_series(
-    phi: OperatorSeries, direction: AlgebraElement, target: AlgebraElement
+    coeffs: Sequence[int | Fraction], direction: AlgebraElement, target: AlgebraElement
 ) -> AlgebraElement:
-    """Evaluate ``phi(ad_direction)`` on ``target``.
+    """Evaluate ``sum_k coeffs[k] ad_direction^k`` on ``target``.
 
+    ``coeffs`` lists exact rationals indexed by the power of ``ad``.
     The direction must be graded-homogeneous of degree 0 and the target
     graded-homogeneous; iterated brackets truncate at the context's max
     weight, so the loop stops as soon as a power of ``ad`` vanishes.
     """
-    return _apply_series((phi,), direction, target)[0]
-
-
-def _apply_series(
-    series: Sequence[OperatorSeries], direction: AlgebraElement, target: AlgebraElement
-) -> list[AlgebraElement]:
-    # one walk over ad_direction^k(target) feeds every series
+    if not isinstance(coeffs, Sequence):
+        raise TypeError("operator series coefficients must be a sequence indexed by power")
+    table = [as_fraction(c) for c in coeffs]
     if direction.context != target.context:
         raise GradingError("direction and target must share a context")
     ddeg = direction.homogeneous_degree()
     if ddeg not in (0, None):
         raise GradingError(f"operator direction must have degree 0, got {ddeg}")
     target.homogeneous_degree()  # raises on mixed input
-    tables = [phi.coeffs for phi in series]
-    return _series_walk(target, lambda current: bracket(direction, current), tables)
+    return _series_walk(target, lambda current: bracket(direction, current), [table])[0]
 
 
 def _series_walk(
     start: AlgebraElement,
     step: Callable[[AlgebraElement], AlgebraElement],
-    tables: Sequence[Mapping[int, Fraction]],
+    tables: Sequence[Sequence[Fraction]],
 ) -> list[AlgebraElement]:
     # sum_k table[k] step^k(start) for every table, from one walk over
     # the powers; only the current power and one running sum per table
     # are kept, and the walk stops at the first power that vanishes
     sums = [_LinearSum(start.context) for _ in tables]
-    top = max((max(table) for table in tables if table), default=0)
     current = start
-    for k in range(top + 1):
+    for k in range(max(map(len, tables), default=0)):
         if k:
             current = step(current)
             if not current:
                 break
         for total, table in zip(sums, tables):
-            c = table.get(k)
-            if c:
-                total.add(c, current)
+            if k < len(table) and table[k]:
+                total.add(table[k], current)
     return [total.element() for total in sums]
 
 
@@ -259,14 +217,13 @@ def exp_assoc(x: AlgebraElement) -> AlgebraElement:
     degree = x.homogeneous_degree()
     if degree is not None and degree % 2:
         raise GradingError(f"exponential of an odd element (degree {degree}) is undefined")
-    facts = _factorials(x.context.max_weight)
-    table = {k - 1: Fraction(1, facts[k]) for k in range(1, len(facts))}
+    table = [Fraction(1, f) for f in _factorials(x.context.max_weight)[1:]]
     return _series_walk(x, lambda power: power * x, [table])[0]
 
 
 def log_assoc(z: AlgebraElement) -> AlgebraElement:
     """The truncated logarithm of ``1 + z``; inverse of :func:`exp_assoc`."""
-    table = {k - 1: Fraction((-1) ** (k + 1), k) for k in range(1, z.context.max_weight + 1)}
+    table = [Fraction((-1) ** (k + 1), k) for k in range(1, z.context.max_weight + 1)]
     return _series_walk(z, lambda power: power * z, [table])[0]
 
 
@@ -325,8 +282,8 @@ def edge_differential(
     """
     e, a, b = _edge_generators(context, edge, source, target)
     order = context.max_weight - 1
-    left = apply_operator_series(OperatorSeries.edge_source_series(order), e, a)
-    right = apply_operator_series(OperatorSeries.edge_target_series(order), e, b)
+    left = apply_operator_series(_edge_series(1, order), e, a)
+    right = apply_operator_series(_edge_series(-1, order), e, b)
     return left + right
 
 
@@ -346,7 +303,7 @@ def edge_differential_bernoulli(
     order = context.max_weight - 1
     facts = _factorials(order)
     table = _bernoulli_table(order)
-    series = OperatorSeries({k: table[k] / facts[k] for k in range(order + 1)})
+    series = [table[k] / facts[k] for k in range(order + 1)]
     return bracket(e, b) + apply_operator_series(series, e, b - a)
 
 
@@ -409,14 +366,17 @@ def flow(
 ) -> AlgebraElement:
     """Evolve ``start`` along the grading-preserving flow by ``direction``.
 
-    In degree -1 the evolution is ``dx/dt = D(direction) - ad(direction) x``
-    and the closed-form solution
-    ``exp(-t ad) start + ((1 - exp(-t ad))/ad) D(direction)`` is
-    evaluated through operator series; in degrees >= 0 the source term
-    is absent and the solution is ``exp(-t ad) start``.  Flowing by
-    ``direction`` for time ``t`` equals flowing by ``t * direction``
-    for unit time.  The zero element is flowed as a degree -1 initial
-    condition (its orbit sweeps the component of 0).
+    In degree -1 the evolution is ``dx/dt = D(direction) - ad(direction) x``,
+    with closed-form solution
+    ``exp(-t ad) start + ((1 - exp(-t ad))/ad) D(direction)``; in every
+    other degree the source term is absent and the solution is
+    ``exp(-t ad) start``.  Since ``exp(-tT) = 1 - T (1 - exp(-tT))/T``,
+    both are evaluated as ``start`` plus one walk of
+    ``(1 - e^{-t ad})/ad`` over ``D(direction) + [start, direction]``,
+    the first summand only in degree -1.  Flowing by ``direction`` for
+    time ``t`` equals flowing by ``t * direction`` for unit time.  The
+    zero element is flowed as a degree -1 initial condition (its orbit
+    sweeps the component of 0).
     """
     return _flows(model, direction, start, (t,))[0]
 
@@ -427,18 +387,15 @@ def _flows(
     start: AlgebraElement,
     times: Sequence[int | Fraction],
 ) -> list[AlgebraElement]:
-    # flow(model, direction, start, t) for each t, from one ad pass over
-    # start and one over D(direction)
-    times = [as_fraction(t) for t in times]
+    # flow(model, direction, start, t) for each t, from one ad walk over
+    # one source
+    tables = [_flow_integrator(as_fraction(t), model.context.max_weight - 1) for t in times]
     ddeg = direction.homogeneous_degree()
     if ddeg not in (0, None):
         raise GradingError(f"flow direction must have degree 0, got {ddeg}")
     degree = start.homogeneous_degree()
-    order = model.context.max_weight - 1
-    moved = _apply_series([OperatorSeries.exponential(-t, order) for t in times], direction, start)
-    if degree is not None and degree >= 0:
-        return moved
-    source = extend_differential(model, direction)
-    integrators = [OperatorSeries.flow_integrator(t, order) for t in times]
-    pushed = _apply_series(integrators, direction, source)
-    return [m + p for m, p in zip(moved, pushed)]
+    source = bracket(start, direction)
+    if degree in (-1, None):
+        source = source + extend_differential(model, direction)
+    pushed = _series_walk(source, lambda current: bracket(direction, current), tables)
+    return [start + p for p in pushed]

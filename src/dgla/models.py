@@ -47,7 +47,7 @@ from .algebra import (
     weight_component,
 )
 from .calculus import (
-    OperatorSeries,
+    _exponential,
     _flows,
     apply_operator_series,
     bch,
@@ -261,7 +261,7 @@ def compute_symmetric_data(order: int = 6) -> SymmetricBigonData:
     v = bch([-half * loop, e])
     x, unit_time = _flows(circle, v, a, (half, 1))
     q = bch([-half * v, e, f, half * v])
-    transported = apply_operator_series(OperatorSeries.exponential(-half, order - 1), v, loop)
+    transported = apply_operator_series(_exponential(-half, order - 1), v, loop)
     if q != transported:
         raise RuntimeError("kernel element disagrees with its conjugation form")
     if unit_time != b:

@@ -86,13 +86,13 @@ def naive_morphism(mapping, x):
 
 
 def naive_operator_series(coeffs, direction, target):
-    """``sum_k coeffs[k] ad_direction^k (target)`` for a mapping ``coeffs``."""
+    """``sum_k coeffs[k] ad_direction^k (target)`` for a list ``coeffs``."""
     total = target.context.zero()
     power = target
-    for k in range(max(coeffs, default=0) + 1):
+    for k, c in enumerate(coeffs):
         if k:
             power = naive_bracket(direction, power)
-        total = total + Fraction(coeffs.get(k, 0)) * power
+        total = total + Fraction(c) * power
     return total
 
 

@@ -12,6 +12,7 @@ from dgla import (
     GradingError,
     SeriesParseError,
     apply_morphism,
+    apply_operator_series,
     bracket,
     decode,
     encode,
@@ -88,6 +89,8 @@ class TestContext:
             CTX.element({("e",): 0.5})
         with pytest.raises(TypeError):
             0.5 * CTX.gen("e")
+        with pytest.raises(TypeError):
+            apply_operator_series([1, 0.5], CTX.gen("e"), CTX.gen("a"))
 
 
 class TestCombine:

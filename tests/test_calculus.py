@@ -10,7 +10,6 @@ from dgla import (
     FlatnessError,
     GradingError,
     ModelError,
-    OperatorSeries,
     apply_operator_series,
     bch,
     bernoulli,
@@ -27,6 +26,7 @@ from dgla import (
     twisted_differential,
     weight_component,
 )
+from dgla.calculus import _edge_series, _exponential
 
 XY = AlgebraContext([("x", 0), ("y", 0)], max_weight=6)
 
@@ -103,7 +103,7 @@ class TestBch:
 
     def test_conjugation(self):
         x, y = XY.gen("x"), XY.gen("y")
-        expected = apply_operator_series(OperatorSeries.exponential(1, 5), x, y)
+        expected = apply_operator_series(_exponential(1, 5), x, y)
         assert bch([x, y, -x]) == expected
 
     def test_empty_list(self):
@@ -131,7 +131,7 @@ class TestBch:
     def test_equivariance_under_inner_automorphism(self):
         rng = random.Random(11)
         x, y = XY.gen("x"), XY.gen("y")
-        exp_ad = OperatorSeries.exponential(1, 5)
+        exp_ad = _exponential(1, 5)
         for _ in range(20):
             u = rng.randint(-2, 2) * x + rng.randint(-2, 2) * y
             w = rng.randint(-2, 2) * x + rng.randint(-2, 2) * bracket(x, y)
@@ -143,14 +143,13 @@ class TestBch:
 class TestOperatorSeries:
     def test_single_ad(self):
         ctx = AlgebraContext([("a", -1), ("e", 0)], 6)
-        phi = OperatorSeries({1: 1})
-        assert apply_operator_series(phi, ctx.gen("e"), ctx.gen("a")) == bracket(ctx.gen("e"), ctx.gen("a"))
+        assert apply_operator_series([0, 1], ctx.gen("e"), ctx.gen("a")) == bracket(ctx.gen("e"), ctx.gen("a"))
 
     def test_edge_source_series_low_orders(self):
         # oracle route: T/(1 - e^T) = -sum B_k T^k / k!, checked termwise
         ctx = AlgebraContext([("a", -1), ("e", 0)], 6)
         e, a = ctx.gen("e"), ctx.gen("a")
-        got = apply_operator_series(OperatorSeries.edge_source_series(5), e, a)
+        got = apply_operator_series(_edge_series(1, 5), e, a)
         expected = ctx.zero()
         current = a
         factorial = 1
@@ -166,7 +165,7 @@ class TestOperatorSeries:
     def test_exponential_of_negative(self):
         ctx = AlgebraContext([("e", 0), ("f", 0)], 4)
         e, f = ctx.gen("e"), ctx.gen("f")
-        got = apply_operator_series(OperatorSeries.exponential(-1, 3), e, f)
+        got = apply_operator_series(_exponential(-1, 3), e, f)
         expected = (
             f
             - bracket(e, f)
@@ -178,7 +177,14 @@ class TestOperatorSeries:
     def test_odd_direction_rejected(self):
         ctx = AlgebraContext([("a", -1), ("g", 1)], 6)
         with pytest.raises(GradingError):
-            apply_operator_series(OperatorSeries({1: 1}), ctx.gen("g"), ctx.gen("a"))
+            apply_operator_series([0, 1], ctx.gen("g"), ctx.gen("a"))
+
+    def test_mapping_rejected(self):
+        # coefficients are indexed by position; a power -> coefficient
+        # mapping would be read as its keys
+        ctx = AlgebraContext([("a", -1), ("e", 0)], 6)
+        with pytest.raises(TypeError):
+            apply_operator_series({1: 1}, ctx.gen("e"), ctx.gen("a"))
 
 
 class TestEdgeDifferential:
@@ -315,6 +321,15 @@ class TestFlow:
                 assert flow(circle, direction, start, t) == iterative_flow(
                     circle, direction, start, t
                 )
+
+    def test_degree_minus_two_start_has_no_source(self, circle):
+        # D(direction) has degree -1, so it enters only degree -1 flows
+        ctx = circle.context
+        a, e = ctx.gen("a"), ctx.gen("e")
+        start = bracket(a, a)
+        got = flow(circle, e, start, 1)
+        assert got == iterative_flow(circle, e, start, 1)
+        assert got.homogeneous_degree() == -2
 
     def test_oracle_in_degree_one(self):
         sym = build_named_model("bigon-sym", 5)

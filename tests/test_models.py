@@ -10,7 +10,6 @@ import dgla.models
 from dgla import (
     GeneratorMorphism,
     OneComplex,
-    OperatorSeries,
     SeriesParseError,
     apply_morphism,
     apply_operator_series,
@@ -40,6 +39,7 @@ from dgla import (
     verify_model,
     weight_component,
 )
+from dgla.calculus import _exponential
 from dgla.models import MODEL_NAMES
 
 
@@ -181,7 +181,7 @@ class TestSymmetricData:
     def test_kernel_element_transport_form(self, circle, symdata):
         ctx = circle.context
         loop = bch([ctx.gen("e"), ctx.gen("f")])
-        transported = apply_operator_series(OperatorSeries.exponential(Fraction(-1, 2), 5), symdata.v, loop)
+        transported = apply_operator_series(_exponential(Fraction(-1, 2), 5), symdata.v, loop)
         assert symdata.q == transported
 
     def test_even_weights_vanish(self, symdata):
@@ -554,6 +554,11 @@ _REJECTIONS = {  # case: (text, message, position)
     "negative-denominator": (
         lambda: _series(0, {"coeff": "1/-2", "word": ["b"]}),
         "coefficient '1/-2' is not of the form p/q with q > 0",
+        "series.terms[0].coeff",
+    ),
+    "trailing-newline": (
+        lambda: _series(0, {"coeff": "1/1\n", "word": ["b"]}),
+        "coefficient '1/1\\n' is not of the form p/q with q > 0",
         "series.terms[0].coeff",
     ),
     "numerator-past-the-digit-limit": (
