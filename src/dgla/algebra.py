@@ -141,18 +141,14 @@ class AlgebraContext:
 
     def __init__(
         self,
-        generators: Iterable[Generator | tuple[str, int]],
+        generators: Iterable[tuple[str, int]],
         max_weight: int = 6,
     ) -> None:
         if not isinstance(max_weight, int) or isinstance(max_weight, bool) or max_weight < 1:
             raise ValueError(f"max_weight must be a positive integer, got {max_weight!r}")
         gens: list[Generator] = []
         index_by_name: dict[str, int] = {}
-        for position, entry in enumerate(generators):
-            if isinstance(entry, Generator):
-                name, degree = entry.name, entry.degree
-            else:
-                name, degree = entry
+        for position, (name, degree) in enumerate(generators):
             if not isinstance(name, str) or not name:
                 raise ValueError(f"generator name must be a nonempty string, got {name!r}")
             if not isinstance(degree, int) or isinstance(degree, bool):
@@ -839,6 +835,8 @@ _COEFF_RE = re.compile(r"(-?)(0|[1-9][0-9]*)/([1-9][0-9]*)")
 _MAX_PAYLOAD_ORDER = 64
 
 _TERM_FIELDS = frozenset(("coeff", "word"))
+_GENERATOR_FIELDS = frozenset(("name", "degree"))
+_SERIES_FIELDS = frozenset(("label", "terms"))
 
 
 def terms_to_json(x: AlgebraElement) -> list[dict]:
@@ -906,6 +904,11 @@ def _expect(condition: bool, message: str, path: str) -> None:
         raise SeriesParseError(message, position=path)
 
 
+def _expect_fields(item: dict, fields: frozenset[str], what: str, path: str) -> None:
+    if not item.keys() <= fields:
+        raise SeriesParseError(f"unknown {what} fields {sorted(item.keys() - fields)}", path)
+
+
 def _parse_coeff(raw: object) -> tuple[int, int]:
     # the signed numerator and the denominator of a canonical "p/q"; a defect raises ValueError
     if not isinstance(raw, str):
@@ -939,6 +942,7 @@ def context_from_json(data: object, path: str = "") -> AlgebraContext:
     for i, item in enumerate(raw_gens):  # type: ignore[union-attr]
         gpath = f"{dot}generators[{i}]"
         _expect(isinstance(item, dict), "generator entry must be an object", gpath)
+        _expect_fields(item, _GENERATOR_FIELDS, "generator", gpath)
         name = item.get("name")
         degree = item.get("degree")
         _expect(isinstance(name, str) and bool(name), "generator name must be a nonempty string", f"{gpath}.name")
@@ -973,8 +977,7 @@ def element_from_json_terms(
         if not isinstance(item, dict):
             raise SeriesParseError("term must be an object", f"{path}[{i}]")
         if not item.keys() <= _TERM_FIELDS:
-            extra = sorted(item.keys() - _TERM_FIELDS)
-            raise SeriesParseError(f"unknown term fields {extra}", f"{path}[{i}]")
+            _expect_fields(item, _TERM_FIELDS, "term", f"{path}[{i}]")
         raw = item.get("coeff")
         coeff = parsed.get(raw) if isinstance(raw, str) else None
         if coeff is None:
@@ -1025,6 +1028,7 @@ def decode(text: str) -> AlgebraElement:
     _expect(isinstance(data, dict) and "series" in data, "missing series object", "series")
     series = data["series"]
     _expect(isinstance(series, dict), "series must be an object", "series")
+    _expect_fields(series, _SERIES_FIELDS, "series", "series")
     label = series.get("label")
     _expect(isinstance(label, str), "series label must be a string", "series.label")
     return element_from_json_terms(context, series.get("terms"), path="series.terms")

@@ -12,11 +12,13 @@ weight by weight whenever the inputs are;
 :func:`dgla.algebra.is_primitive` certifies that independently at
 every weight, by the Dynkin-Specht-Wever bracketing.
 
-Series with a nonzero constant term, such as ``T/(1 - e^T)``, are
-obtained by truncated division of scalar power series in one variable
-before the variable is specialized to ``ad`` of anything.
+Every scalar series is read off the coefficients of ``e^{sT}`` before
+``T`` is specialized to ``ad`` of anything: the exponential's table,
+``(e^T - 1)/T`` and the flow integrator ``(1 - e^{-tT})/T`` are slices
+of it, and ``T/(e^T - 1)`` and ``T/(1 - e^{+-T})`` are reciprocals of
+such slices.
 
-The Bernoulli table is memoized through :func:`functools.lru_cache`,
+The Bernoulli series is memoized through :func:`functools.lru_cache`,
 which is safe under concurrent readers in CPython (at worst a value is
 computed twice).
 """
@@ -25,12 +27,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .algebra import (
     AlgebraContext,
     AlgebraElement,
-    Generator,
     GradingError,
     _LinearSum,
     _odd_derivation,
@@ -69,95 +71,47 @@ class FlatnessError(ValueError):
 # -- scalar power series ------------------------------------------------
 
 
-def _factorials(order: int) -> list[int]:
-    out = [1]
+def _exponential(scale: int | Fraction, order: int) -> list[Fraction]:
+    # e^{scale T} through T^order: every exponential series is read off it
+    s = as_fraction(scale)
+    out = [Fraction(1)]
     for k in range(1, order + 1):
-        out.append(out[-1] * k)
+        out.append(out[-1] * s / k)
     return out
 
 
-def _series_quotient(
-    num: Sequence[Fraction], den: Sequence[Fraction], order: int
-) -> list[Fraction]:
-    """Coefficients of num/den as a truncated power series.
-
-    A common factor x^s is cancelled first, so the quotient exists as a
-    formal power series exactly when num vanishes at least to the order
-    den does.
-    """
-    num = list(num)
-    den = list(den)
-    shift = 0
-    while shift < len(den) and not den[shift]:
-        shift += 1
-    if shift == len(den):
-        raise ZeroDivisionError("division by the zero series")
-    if any(num[k] for k in range(min(shift, len(num)))):
-        raise ValueError("quotient is not a formal power series")
-    num = num[shift:] or [Fraction(0)]
-    den = den[shift:]
-    lead = den[0]
-    out = [Fraction(0)] * (order + 1)
-    for k in range(order + 1):
-        acc = num[k] if k < len(num) else Fraction(0)
-        for j in range(max(0, k - len(den) + 1), k):
-            acc -= out[j] * den[k - j]
-        out[k] = acc / lead
-    return out
-
-
-def _exp_minus_one_over_x(order: int) -> list[Fraction]:
-    facts = _factorials(order + 1)
-    return [Fraction(1, facts[k + 1]) for k in range(order + 1)]
-
-
-def _one_minus_exp(order: int, sign: int) -> list[Fraction]:
-    # coefficients of 1 - e^{sign * x}
-    facts = _factorials(order)
-    out = [Fraction(0)] * (order + 1)
+def _reciprocal(series: Sequence[Fraction], order: int) -> list[Fraction]:
+    # 1/series through T^order; series is given through T^order and has
+    # a nonzero constant term
+    out = [1 / series[0]]
     for k in range(1, order + 1):
-        out[k] = Fraction(-(sign**k), facts[k])
+        out.append(-sum(out[j] * series[k - j] for j in range(k)) / series[0])
     return out
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_table(order: int) -> tuple[Fraction, ...]:
-    # x/(e^x - 1) = 1 / ((e^x - 1)/x); B_n is n! times the n-th coefficient
-    one = [Fraction(1)] + [Fraction(0)] * order
-    quotient = _series_quotient(one, _exp_minus_one_over_x(order), order)
-    facts = _factorials(order)
-    return tuple(quotient[n] * facts[n] for n in range(order + 1))
+def _bernoulli_series(order: int) -> tuple[Fraction, ...]:
+    # T/(e^T - 1) = 1 / ((e^T - 1)/T) through T^order; its k-th
+    # coefficient is B_k/k!
+    return tuple(_reciprocal(_exponential(1, order + 1)[1:], order))
 
 
 def bernoulli(n: int) -> Fraction:
     """The n-th Bernoulli number, from the expansion of x/(e^x - 1)."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"Bernoulli index must be a nonnegative integer, got {n!r}")
-    return _bernoulli_table(n)[n]
+    return _bernoulli_series(n)[n] * factorial(n)
 
 
 # -- operator series ------------------------------------------------------
 
 
-def _exponential(scale: int | Fraction, order: int) -> list[Fraction]:
-    # exp(scale * T) through T^order
-    s = as_fraction(scale)
-    facts = _factorials(order)
-    return [s**k / facts[k] for k in range(order + 1)]
-
-
-def _flow_integrator(t: Fraction, order: int) -> list[Fraction]:
-    # (1 - exp(-t T)) / T through T^order
-    facts = _factorials(order + 1)
-    return [(-t) ** k * t / facts[k + 1] for k in range(order + 1)]
-
-
 def _edge_series(sign: int, order: int) -> list[Fraction]:
     # T/(1 - e^{sign T}) through T^order: sign 1 weights an edge's source
-    # vertex, sign -1 its target.  Obtained by truncated division of
-    # scalar power series, not from the Bernoulli table, so it stays an
-    # independent route from the explicit Bernoulli-sum form.
-    return _series_quotient([Fraction(0), Fraction(1)], _one_minus_exp(order + 1, sign), order)
+    # vertex, sign -1 its target.  The reciprocal of (1 - e^{sign T})/T,
+    # not the Bernoulli series, so it stays an independent route from
+    # the explicit Bernoulli-sum form.
+    return _reciprocal([-c for c in _exponential(sign, order + 1)[1:]], order)
 
 
 def apply_operator_series(
@@ -217,7 +171,7 @@ def exp_assoc(x: AlgebraElement) -> AlgebraElement:
     degree = x.homogeneous_degree()
     if degree is not None and degree % 2:
         raise GradingError(f"exponential of an odd element (degree {degree}) is undefined")
-    table = [Fraction(1, f) for f in _factorials(x.context.max_weight)[1:]]
+    table = _exponential(1, x.context.max_weight)[1:]
     return _series_walk(x, lambda power: power * x, [table])[0]
 
 
@@ -258,21 +212,21 @@ def bch(
 # -- differentials and flows ----------------------------------------------
 
 
-def _edge_generators(context: AlgebraContext, *cells: Generator | str) -> list[AlgebraElement]:
+def _edge_generators(context: AlgebraContext, *names: str) -> list[AlgebraElement]:
     # the edge and its source and target, as elements, after the degree check
-    e, a, b = (context.generator(g if isinstance(g, str) else g.name) for g in cells)
-    if e.degree != 0 or a.degree != -1 or b.degree != -1:
+    degrees = [context.generator(name).degree for name in names]
+    if degrees != [0, -1, -1]:
         raise GradingError(
             "edge differential needs a degree-0 edge and degree -1 endpoints"
         )
-    return [context.gen(g.name) for g in (e, a, b)]
+    return [context.gen(name) for name in names]
 
 
 def edge_differential(
     context: AlgebraContext,
-    edge: Generator | str,
-    source: Generator | str,
-    target: Generator | str,
+    edge: str,
+    source: str,
+    target: str,
 ) -> AlgebraElement:
     """The unique differential of an edge generator, as an operator series.
 
@@ -289,9 +243,9 @@ def edge_differential(
 
 def edge_differential_bernoulli(
     context: AlgebraContext,
-    edge: Generator | str,
-    source: Generator | str,
-    target: Generator | str,
+    edge: str,
+    source: str,
+    target: str,
 ) -> AlgebraElement:
     """The same edge differential via the explicit Bernoulli sum.
 
@@ -300,10 +254,7 @@ def edge_differential_bernoulli(
     compared exactly at every order.
     """
     e, a, b = _edge_generators(context, edge, source, target)
-    order = context.max_weight - 1
-    facts = _factorials(order)
-    table = _bernoulli_table(order)
-    series = [table[k] / facts[k] for k in range(order + 1)]
+    series = _bernoulli_series(context.max_weight - 1)
     return bracket(e, b) + apply_operator_series(series, e, b - a)
 
 
@@ -388,8 +339,10 @@ def _flows(
     times: Sequence[int | Fraction],
 ) -> list[AlgebraElement]:
     # flow(model, direction, start, t) for each t, from one ad walk over
-    # one source
-    tables = [_flow_integrator(as_fraction(t), model.context.max_weight - 1) for t in times]
+    # one source; the integrator (1 - e^{-tT})/T is a slice of e^{-tT},
+    # and each time is made exact before it is negated (-True is -1)
+    order = model.context.max_weight
+    tables = [[-c for c in _exponential(-as_fraction(t), order)[1:]] for t in times]
     ddeg = direction.homogeneous_degree()
     if ddeg not in (0, None):
         raise GradingError(f"flow direction must have degree 0, got {ddeg}")

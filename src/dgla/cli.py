@@ -159,9 +159,7 @@ class _ExprParser:
         return self._atom()
 
     def _rational(self) -> Fraction:
-        kind, value, offset = self._next()
-        if kind != "int":
-            raise UsageError(f"expected a rational at offset {offset} in {self.text!r}")
+        _, value, offset = self._next()  # an integer token, as _value checked
         numerator = _integer(value, offset)
         token = self._peek()
         if token and token[0] == "sym" and token[1] == "/":

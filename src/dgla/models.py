@@ -466,11 +466,10 @@ def model_from_json_dict(data: object) -> tuple[str, CellModel]:
         )
     closure: dict[str, frozenset[str]] = {}
     for gname, members in raw_closure.items():
-        if not isinstance(members, list) or not all(
-            isinstance(m, str) and m in names for m in members
-        ):
+        # the canonical list: declared names, each once, in generator order
+        if not isinstance(members, list) or members != [h for h in context.names if h in members]:
             raise SeriesParseError(
-                "closure entries must list declared generator names",
+                "closure entries must list declared generator names once, in generator order",
                 position=f"closure.{gname}",
             )
         closure[gname] = frozenset(members)

@@ -16,6 +16,7 @@ from dgla import (
     bracket,
     decode,
     encode,
+    flow,
     format_element,
     is_primitive,
     weight_component,
@@ -84,13 +85,17 @@ class TestContext:
             with pytest.raises(KeyError, match="no generator named 'zz' in this context"):
                 lookup("zz")
 
-    def test_float_coefficients_rejected(self):
+    def test_float_coefficients_rejected(self, circle):
         with pytest.raises(TypeError):
             CTX.element({("e",): 0.5})
         with pytest.raises(TypeError):
             0.5 * CTX.gen("e")
         with pytest.raises(TypeError):
             apply_operator_series([1, 0.5], CTX.gen("e"), CTX.gen("a"))
+        e, a = circle.context.gen("e"), circle.context.gen("a")
+        for t in (0.5, True):  # -True would pass as the integer -1
+            with pytest.raises(TypeError):
+                flow(circle, e, a, t)
 
 
 class TestCombine:

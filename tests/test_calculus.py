@@ -146,21 +146,23 @@ class TestOperatorSeries:
         assert apply_operator_series([0, 1], ctx.gen("e"), ctx.gen("a")) == bracket(ctx.gen("e"), ctx.gen("a"))
 
     def test_edge_source_series_low_orders(self):
-        # oracle route: T/(1 - e^T) = -sum B_k T^k / k!, checked termwise
+        # oracle route: T/(1 - e^{sT}) = -sum s^{k+1} B_k T^k / k!, checked
+        # termwise for the source (s = 1) and the target (s = -1) series
         ctx = AlgebraContext([("a", -1), ("e", 0)], 6)
         e, a = ctx.gen("e"), ctx.gen("a")
-        got = apply_operator_series(_edge_series(1, 5), e, a)
-        expected = ctx.zero()
-        current = a
-        factorial = 1
-        for k in range(6):
-            if k:
-                factorial *= k
-                current = bracket(e, current)
-            expected = expected - Fraction(bernoulli_recurrence(k), factorial) * current
-        assert got == expected
-        assert weight_component(got, 1) == -a
-        assert weight_component(got, 2) == Fraction(1, 2) * bracket(e, a)
+        for sign in (1, -1):
+            got = apply_operator_series(_edge_series(sign, 5), e, a)
+            expected = ctx.zero()
+            current = a
+            factorial = 1
+            for k in range(6):
+                if k:
+                    factorial *= k
+                    current = bracket(e, current)
+                expected = expected - Fraction(sign ** (k + 1) * bernoulli_recurrence(k), factorial) * current
+            assert got == expected
+            assert weight_component(got, 1) == -sign * a
+            assert weight_component(got, 2) == Fraction(1, 2) * bracket(e, a)
 
     def test_exponential_of_negative(self):
         ctx = AlgebraContext([("e", 0), ("f", 0)], 4)

@@ -524,6 +524,12 @@ def _envelope_letter(letters):
     return json.dumps(payload)
 
 
+def _envelope(field, key, value):
+    payload = model_to_json_dict(build_named_model("disc1", 3), "disc1")
+    payload[field][key] = value
+    return json.dumps(payload)
+
+
 def _digit_limit_message():
     with pytest.raises(ValueError) as caught:
         int(_DIGITS)
@@ -600,6 +606,40 @@ _REJECTIONS = {  # case: (text, message, position)
         lambda: _series(2, {"coeff": "1/3", "word": ["e", "a"]}),
         "terms are not in canonical order",
         "series.terms[2]",
+    ),
+    "generator-extra-field": (
+        lambda: json.dumps({
+            **_HEADER,
+            "generators": [*_HEADER["generators"][:2], {"name": "e", "degree": 0, "parity": 0}],
+            "series": {"label": "s", "terms": _TERMS},
+        }),
+        "unknown generator fields ['parity']",
+        "generators[2]",
+    ),
+    "series-extra-field": (
+        lambda: json.dumps({**_HEADER, "series": {"label": "s", "terms": _TERMS, "order": 3}}),
+        "unknown series fields ['order']",
+        "series",
+    ),
+    "envelope-generator-extra-field": (
+        lambda: _envelope("generators", 1, {"name": "e", "degree": 0, "closure": ["a", "e"]}),
+        "unknown generator fields ['closure']",
+        "generators[1]",
+    ),
+    "envelope-closure-repeated": (
+        lambda: _envelope("closure", "a", ["a", "a"]),
+        "closure entries must list declared generator names once, in generator order",
+        "closure.a",
+    ),
+    "envelope-closure-out-of-order": (
+        lambda: _envelope("closure", "e", ["e", "a"]),
+        "closure entries must list declared generator names once, in generator order",
+        "closure.e",
+    ),
+    "envelope-closure-unknown-name": (
+        lambda: _envelope("closure", "e", ["a", "z"]),
+        "closure entries must list declared generator names once, in generator order",
+        "closure.e",
     ),
     "envelope-differential-g": (
         lambda: _envelope_letter(["g", "x"]),
