@@ -562,6 +562,27 @@ def _terms_using(x: AlgebraElement, letters: Collection[int]) -> AlgebraElement:
     return _element(context, out, x._den)
 
 
+def _ending_in(x: AlgebraElement, letters: Collection[int]) -> AlgebraElement:
+    """The terms of ``x`` whose words end in a letter of ``letters``."""
+    context = x.context
+    mask = (1 << context._bits) - 1
+    out = [{w: n for w, n in bucket.items() if w & mask in letters} for bucket in x._buckets]
+    return _element(context, out, x._den)
+
+
+def _right_quotient(x: AlgebraElement, letter: int) -> AlgebraElement:
+    """``x / letter``: the words of ``x`` that end in ``letter``, that letter
+    removed.  A weight-1 term would leave the empty word, which no element
+    stores, so only words of weight at least 2 contribute."""
+    context = x.context
+    bits = context._bits
+    mask = (1 << bits) - 1
+    out = list(context._no_terms)
+    for k in range(2, len(out)):
+        out[k - 1] = {w >> bits: n for w, n in x._buckets[k].items() if w & mask == letter}
+    return _element(context, out, x._den)
+
+
 def _relabel(
     x: AlgebraElement, context: AlgebraContext, table: Sequence[tuple[int, int] | None]
 ) -> AlgebraElement:
@@ -807,6 +828,19 @@ def _bracketing(bucket: Mapping[int, int], k: int, bits: int, parities: Sequence
     return split
 
 
+def _right_normed(x: AlgebraElement) -> AlgebraElement:
+    """``θ(x)``, weight by weight: each word ``w1 … wk`` becomes
+    ``[w1, [w2, … [w(k-1), wk]]]``.  A word's parity is that of its letters,
+    so the even and odd parts share no word and their union is their sum."""
+    context = x.context
+    out = list(context._no_terms)
+    for k, bucket in enumerate(x._buckets):
+        if bucket:
+            even, odd = _bracketing(bucket, k, context._bits, context._parities)
+            out[k] = even | odd
+    return _element(context, out, x._den)
+
+
 def is_primitive(x: AlgebraElement, wmax: int) -> bool:
     """Test whether ``x`` is a Lie element through weight ``wmax``.
 
@@ -837,6 +871,7 @@ _MAX_PAYLOAD_ORDER = 64
 _TERM_FIELDS = frozenset(("coeff", "word"))
 _GENERATOR_FIELDS = frozenset(("name", "degree"))
 _SERIES_FIELDS = frozenset(("label", "terms"))
+_PAYLOAD_FIELDS = frozenset(("order", "generators", "series"))
 
 
 def terms_to_json(x: AlgebraElement) -> list[dict]:
@@ -1025,7 +1060,8 @@ def decode(text: str) -> AlgebraElement:
     """Parse the canonical JSON series format back into an element."""
     data = _load_json(text)
     context = context_from_json(data)
-    _expect(isinstance(data, dict) and "series" in data, "missing series object", "series")
+    _expect_fields(data, _PAYLOAD_FIELDS, "payload", "$")  # type: ignore[arg-type]
+    _expect("series" in data, "missing series object", "series")  # type: ignore[operator]
     series = data["series"]
     _expect(isinstance(series, dict), "series must be an object", "series")
     _expect_fields(series, _SERIES_FIELDS, "series", "series")

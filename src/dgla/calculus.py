@@ -6,7 +6,14 @@ chosen degree-0 direction, and the exponential/logarithm pair lives in
 the unit-augmented tensor algebra with the unit tracked implicitly (an
 element ``z`` stands for ``1 + z``).  A flow is one walk of
 ``(1 - e^{-t ad})/ad`` over ``D(direction) + [start, direction]``.
-The multi-argument Baker-Campbell-Hausdorff element is computed as the
+On a 1-complex a vertex flowed by a direction in the Lie algebra of the
+edges can be walked in vertex-module coordinates instead: a degree -1
+Lie element is ``sum c_{w,p} ad_{w1}...ad_{wk}(p)`` over the vertices
+``p``, ``c_{w,p}`` is the coefficient of its word ``w p``, and there
+``ad_direction`` is left multiplication by ``direction``, so each step
+is one product rather than a bracket.  The symmetric midpoint is
+computed that way; :func:`flow` keeps the tensor walk and is the
+independent route.  The multi-argument Baker-Campbell-Hausdorff element is computed as the
 logarithm of a product of exponentials, so its output is a Lie element
 weight by weight whenever the inputs are;
 :func:`dgla.algebra.is_primitive` certifies that independently at
@@ -34,8 +41,10 @@ from .algebra import (
     AlgebraContext,
     AlgebraElement,
     GradingError,
+    _ending_in,
     _LinearSum,
     _odd_derivation,
+    _right_quotient,
     as_fraction,
     bracket,
 )
@@ -112,6 +121,12 @@ def _edge_series(sign: int, order: int) -> list[Fraction]:
     # not the Bernoulli series, so it stays an independent route from
     # the explicit Bernoulli-sum form.
     return _reciprocal([-c for c in _exponential(sign, order + 1)[1:]], order)
+
+
+def _integrator(t: int | Fraction, order: int) -> list[Fraction]:
+    # (1 - e^{-tT})/T through T^(order - 1), the series every flow walks;
+    # t is made exact before it is negated (-True is -1)
+    return [-c for c in _exponential(-as_fraction(t), order)[1:]]
 
 
 def apply_operator_series(
@@ -329,20 +344,7 @@ def flow(
     zero element is flowed as a degree -1 initial condition (its orbit
     sweeps the component of 0).
     """
-    return _flows(model, direction, start, (t,))[0]
-
-
-def _flows(
-    model: "CellModel",
-    direction: AlgebraElement,
-    start: AlgebraElement,
-    times: Sequence[int | Fraction],
-) -> list[AlgebraElement]:
-    # flow(model, direction, start, t) for each t, from one ad walk over
-    # one source; the integrator (1 - e^{-tT})/T is a slice of e^{-tT},
-    # and each time is made exact before it is negated (-True is -1)
-    order = model.context.max_weight
-    tables = [[-c for c in _exponential(-as_fraction(t), order)[1:]] for t in times]
+    table = _integrator(t, model.context.max_weight)
     ddeg = direction.homogeneous_degree()
     if ddeg not in (0, None):
         raise GradingError(f"flow direction must have degree 0, got {ddeg}")
@@ -350,5 +352,32 @@ def _flows(
     source = bracket(start, direction)
     if degree in (-1, None):
         source = source + extend_differential(model, direction)
-    pushed = _series_walk(source, lambda current: bracket(direction, current), tables)
-    return [start + p for p in pushed]
+    return start + _series_walk(source, lambda current: bracket(direction, current), [table])[0]
+
+
+def _vertex_flows(
+    model: "CellModel",
+    direction: AlgebraElement,
+    start: AlgebraElement,
+    times: Sequence[int | Fraction],
+) -> list[AlgebraElement]:
+    # The vertex-module coordinates of flow(model, direction, start, t)
+    # for each t, from one walk of left multiplications by direction.
+    # The model is a 1-complex, the direction lies in the Lie algebra of
+    # the edges and the start is a degree -1 Lie element.  Coordinates
+    # are the words that end in a vertex (algebra._right_normed maps
+    # them back), and D(direction) is the sum over the edges l of
+    # (direction / l) D(l) plus the weight-1 coefficient of l times D(l).
+    context = model.context
+    vertices = {g.index for g in context.generators if g.degree == -1}
+    initial = _ending_in(start, vertices)
+    source = _LinearSum(context)
+    source.add(-1, direction * initial)
+    for g in context.generators:
+        if g.degree == 0:
+            image = _ending_in(model.differential[g.name], vertices)
+            source.add(direction.coefficient((g.index,)), image)
+            source.add(1, _right_quotient(direction, g.index) * image)
+    tables = [_integrator(t, context.max_weight) for t in times]
+    pushed = _series_walk(source.element(), lambda current: direction * current, tables)
+    return [initial + p for p in pushed]

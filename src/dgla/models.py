@@ -37,7 +37,9 @@ from .algebra import (
     SeriesParseError,
     _context_json,
     _dump_json,
+    _expect_fields,
     _load_json,
+    _right_normed,
     _terms_using,
     apply_morphism,
     bracket,
@@ -48,7 +50,7 @@ from .algebra import (
 )
 from .calculus import (
     _exponential,
-    _flows,
+    _vertex_flows,
     apply_operator_series,
     bch,
     edge_differential,
@@ -245,12 +247,15 @@ def compute_symmetric_data(order: int = 6) -> SymmetricBigonData:
     ``v`` interpolates the two edge directions symmetrically:
     ``v = bch(-1/2 bch(e, f), e)``, so flowing by ``v`` for unit time
     carries one vertex to the other, and the midpoint is
-    ``x = flow(v, a, 1/2)``.  ``q = bch(-v/2, e, f, v/2)`` spans the
+    ``x = flow(v, a, 1/2)``, flowed in vertex-module coordinates (words
+    ending in a vertex, each step a left multiplication by ``v``) and
+    bracketed back.  ``q = bch(-v/2, e, f, v/2)`` spans the
     kernel of the differential twisted by ``x``, with weight-1 part
     ``e + f``.  Two internal cross-checks guard the construction:
     ``q`` must agree with ``exp(-1/2 ad_v)`` applied to ``bch(e, f)``,
-    and the unit-time flow of ``a`` by ``v`` must equal ``b`` on the
-    nose.  Results live in the circle context and are cached per order.
+    and the coordinates of the unit-time flow of ``a`` by ``v``, from
+    the same walk, must be those of ``b`` on the nose.  Results live in
+    the circle context and are cached per order.
     """
     circle = build_named_model("circle2", order)
     context = circle.context
@@ -259,14 +264,14 @@ def compute_symmetric_data(order: int = 6) -> SymmetricBigonData:
     half = Fraction(1, 2)
     loop = bch([e, f])
     v = bch([-half * loop, e])
-    x, unit_time = _flows(circle, v, a, (half, 1))
+    midpoint, unit_time = _vertex_flows(circle, v, a, (half, 1))
     q = bch([-half * v, e, f, half * v])
     transported = apply_operator_series(_exponential(-half, order - 1), v, loop)
     if q != transported:
         raise RuntimeError("kernel element disagrees with its conjugation form")
     if unit_time != b:
         raise RuntimeError("unit-time flow by the midpoint direction misses the far vertex")
-    return SymmetricBigonData(v=v, x=x, q=q)
+    return SymmetricBigonData(v=v, x=_right_normed(midpoint), q=q)
 
 
 # -- symmetry morphisms -----------------------------------------------------
@@ -434,6 +439,9 @@ def compare_reference_second_order(order: int = 6) -> bool:
 # -- model serialization ------------------------------------------------------
 
 
+_ENVELOPE_FIELDS = frozenset(("model", "order", "generators", "boundary0", "closure", "differential"))
+
+
 def model_to_json_dict(model: CellModel, name: str) -> dict:
     """The JSON envelope: generators, boundaries, closures, differentials."""
     return json.loads(encode_model(model, name))
@@ -443,6 +451,7 @@ def model_from_json_dict(data: object) -> tuple[str, CellModel]:
     """Rebuild a model from its JSON envelope; strict validation throughout."""
     if not isinstance(data, dict):
         raise SeriesParseError("model envelope must be a JSON object", position="$")
+    _expect_fields(data, _ENVELOPE_FIELDS, "envelope", "$")
     name = data.get("model")
     if not isinstance(name, str) or not name:
         raise SeriesParseError("model name must be a nonempty string", position="model")

@@ -26,7 +26,8 @@ from dgla import (
     twisted_differential,
     weight_component,
 )
-from dgla.calculus import _edge_series, _exponential
+from dgla.algebra import _ending_in, _right_normed
+from dgla.calculus import _edge_series, _exponential, _vertex_flows
 
 XY = AlgebraContext([("x", 0), ("y", 0)], max_weight=6)
 
@@ -341,3 +342,55 @@ class TestFlow:
         assert flow(sym, direction, g, Fraction(1, 2)) == iterative_flow(
             sym, direction, g, Fraction(1, 2)
         )
+
+
+def _random_lie(rng, e, f, weights):
+    # per weight in ``weights``, a nonzero multiple of a right-normed
+    # bracket [x1, [x2, ... [e, f]]] of that weight (of e or f at weight 1)
+    total = e.context.zero()
+    for weight in weights:
+        term = rng.choice([e, f]) if weight == 1 else bracket(e, f)
+        for _ in range(weight - 2):
+            term = bracket(rng.choice([e, f]), term)
+        total = total + rng.choice([-3, -2, -1, 1, 2, 3]) * term
+    return total
+
+
+class TestVertexModuleFlow:
+    # the vertex-module route (coordinates flowed by left multiplication,
+    # then bracketed back) against the tensor walk of flow
+    TIMES = (0, Fraction(1, 2), 1, Fraction(-1, 3), 2)
+
+    def _check(self, model, directions):
+        ctx = model.context
+        vertices = {g.index for g in ctx.generators if g.degree == -1}
+        for direction in directions:
+            for start in (ctx.gen("a"), ctx.gen("b")):
+                coordinates = _vertex_flows(model, direction, start, self.TIMES)
+                for t, got in zip(self.TIMES, coordinates):
+                    expected = flow(model, direction, start, t)
+                    assert _right_normed(got) == expected, (direction, start, t)
+                    assert got == _ending_in(expected, vertices)
+
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_circle_directions(self, order):
+        model = build_named_model("circle2", order)
+        ctx = model.context
+        e, f = ctx.gen("e"), ctx.gen("f")
+        rng = random.Random(order)
+        directions = [
+            ctx.zero(),
+            _random_lie(rng, e, f, [1, 1, 2, 3]),
+            _random_lie(rng, e, f, [2, 3, 4]),  # brackets only
+            _random_lie(rng, e, f, range(1, order + 1)),
+        ]
+        self._check(model, directions)
+
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_interval_directions(self, order):
+        model = build_named_model("interval", order)
+        e = model.context.gen("e")
+        rng = random.Random(order)
+        # L(e) is spanned by e: every bracket of e with itself vanishes
+        directions = [model.context.zero(), rng.randint(1, 3) * e, -rng.randint(1, 3) * e, bracket(e, e)]
+        self._check(model, directions)

@@ -472,21 +472,26 @@ class TestDecoderFuzz:
             except SeriesParseError:
                 pass
 
-    def test_order_past_the_bound_rejected(self):
-        # a context holds one bucket per weight: a short payload must not
-        # declare millions of them
-        header = {"model": "m", "generators": [{"name": "a", "degree": -1}]}
-        series = {"series": {"label": "s", "terms": []}}
+    # a context holds one bucket per weight: a short payload must not
+    # declare millions of them
+    _GENERATORS = {"generators": [{"name": "a", "degree": -1}]}
+
+    def test_series_order_past_the_bound_rejected(self):
+        series = {**self._GENERATORS, "series": {"label": "s", "terms": []}}
         for order in (65, 10_000_000):
-            text = json.dumps({**header, "order": order, **series})
-            for decoder in (decode, decode_model):
-                with pytest.raises(SeriesParseError) as caught:
-                    decoder(text)
-                assert caught.value.position == "order"
-        assert decode(json.dumps({**header, "order": 64, **series})).context.max_weight == 64
+            with pytest.raises(SeriesParseError) as caught:
+                decode(json.dumps({**series, "order": order}))
+            assert caught.value.position == "order"
+        assert decode(json.dumps({**series, "order": 64})).context.max_weight == 64
+
+    def test_model_order_past_the_bound_rejected(self):
         tables = {field: {"a": []} for field in ("boundary0", "differential")}
-        envelope = {**header, "order": 64, **tables, "closure": {"a": ["a"]}}
-        assert decode_model(json.dumps(envelope))[1].order == 64
+        envelope = {"model": "m", **self._GENERATORS, **tables, "closure": {"a": ["a"]}}
+        for order in (65, 10_000_000):
+            with pytest.raises(SeriesParseError) as caught:
+                decode_model(json.dumps({**envelope, "order": order}))
+            assert caught.value.position == "order"
+        assert decode_model(json.dumps({**envelope, "order": 64}))[1].order == 64
 
     def test_overlong_numbers_rejected(self):
         # longer than the interpreter's limit on int <-> str conversion
@@ -620,6 +625,21 @@ _REJECTIONS = {  # case: (text, message, position)
         lambda: json.dumps({**_HEADER, "series": {"label": "s", "terms": _TERMS, "order": 3}}),
         "unknown series fields ['order']",
         "series",
+    ),
+    "payload-extra-field": (
+        lambda: json.dumps({**_HEADER, "series": {"label": "s", "terms": _TERMS}, "junk": 1}),
+        "unknown payload fields ['junk']",
+        "$",
+    ),
+    "payload-model-field": (
+        lambda: json.dumps({"model": "m", **_HEADER, "series": {"label": "s", "terms": _TERMS}}),
+        "unknown payload fields ['model']",
+        "$",
+    ),
+    "envelope-extra-field": (
+        lambda: json.dumps({**model_to_json_dict(build_named_model("disc1", 3), "disc1"), "junk": 1}),
+        "unknown envelope fields ['junk']",
+        "$",
     ),
     "envelope-generator-extra-field": (
         lambda: _envelope("generators", 1, {"name": "e", "degree": 0, "closure": ["a", "e"]}),
