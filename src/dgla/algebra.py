@@ -24,8 +24,7 @@ pair only the weight buckets that fit under the truncation.  One kernel
 repacks words for every generator relabelling, a :class:`GeneratorMorphism`
 or a move to another context, from a per-letter ``(sign, index)`` table.  This
 module is the only one that knows the format.  :class:`fractions.Fraction` values
-are read in only by :meth:`AlgebraContext.element` (and the
-:class:`AlgebraElement` constructor it uses) and built only by
+are read in only by :meth:`AlgebraContext.element` and built only by
 :meth:`AlgebraElement.terms` and :meth:`AlgebraElement.coefficient`,
 which the display code reads (JSON is written and read from the integers);
 every scalar at the API is an :class:`int` or :class:`Fraction`, and floats
@@ -57,14 +56,11 @@ __all__ = [
     "apply_morphism",
     "as_fraction",
     "bracket",
-    "context_from_json",
     "decode",
-    "element_from_json_terms",
     "encode",
     "format_element",
     "format_element_latex",
     "is_primitive",
-    "terms_to_json",
     "weight_component",
 ]
 
@@ -178,20 +174,16 @@ class AlgebraContext:
             raise KeyError(f"no generator named {name!r} in this context") from None
 
     def zero(self) -> AlgebraElement:
-        return _element(self, self._no_terms, 1)
+        return AlgebraElement(self, self._no_terms, 1)
 
     def gen(self, name: str) -> AlgebraElement:
         """The generator ``name`` as a weight-1 element."""
         index = self.generator(name).index
         buckets = list(self._no_terms)
         buckets[1] = {self._pack((index,)): 1}
-        element = _element(self, buckets, 1)
+        element = AlgebraElement(self, buckets, 1)
         element._degree = self._degrees[index]
         return element
-
-    def word(self, letters: Sequence[str], coeff: int | Fraction = 1) -> AlgebraElement:
-        """A single associative word with the given coefficient."""
-        return self.element({tuple(letters): coeff})
 
     def element(
         self, terms: Mapping[Sequence[str] | Word, int | Fraction]
@@ -204,7 +196,22 @@ class AlgebraContext:
         the same word are summed; empty words are rejected (the algebra
         never stores a weight-0 part).
         """
-        return AlgebraElement(self, terms)
+        coeffs: list[dict[int, Fraction]] = self._empty_buckets()  # type: ignore[assignment]
+        for raw_word, raw_coeff in terms.items():
+            coeff = as_fraction(raw_coeff)
+            if not coeff:
+                continue
+            word = self._normalize_word(raw_word)
+            if len(word) <= self.max_weight:
+                bucket = coeffs[len(word)]
+                packed = self._pack(word)
+                bucket[packed] = bucket.get(packed, 0) + coeff
+        den = math.lcm(*(c.denominator for bucket in coeffs for c in bucket.values()))
+        return AlgebraElement(
+            self,
+            [{w: c.numerator * (den // c.denominator) for w, c in bucket.items()} for bucket in coeffs],
+            den,
+        )
 
     def word_names(self, word: Word) -> tuple[str, ...]:
         gens = self.generators
@@ -293,34 +300,13 @@ class AlgebraElement:
     __slots__ = ("context", "_den", "_buckets", "_degree")
     __hash__ = None  # term maps are dicts; value equality only
 
-    def __init__(
-        self,
-        context: AlgebraContext,
-        terms: Mapping[Sequence[str] | Word, int | Fraction],
-    ) -> None:
-        # the conversion from Fractions that AlgebraContext.element uses
-        coeffs: list[dict[int, Fraction]] = context._empty_buckets()  # type: ignore[assignment]
-        for raw_word, raw_coeff in terms.items():
-            coeff = as_fraction(raw_coeff)
-            if not coeff:
-                continue
-            word = context._normalize_word(raw_word)
-            if len(word) <= context.max_weight:
-                bucket = coeffs[len(word)]
-                packed = context._pack(word)
-                bucket[packed] = bucket.get(packed, 0) + coeff
-        den = math.lcm(*(c.denominator for bucket in coeffs for c in bucket.values()))
-        self._store(
-            context,
-            [{w: c.numerator * (den // c.denominator) for w, c in bucket.items()} for bucket in coeffs],
-            den,
-        )
-
-    def _store(self, context: AlgebraContext, buckets: _Buckets, den: int) -> AlgebraElement:
-        # The one constructor of the stored form: zero numerators dropped
-        # and the gcd divided out, leaving the least common denominator.
-        # It keeps the dicts it is given (so nothing may mutate a stored
-        # bucket) and shares one read-only mapping among the empty ones.
+    def __init__(self, context: AlgebraContext, buckets: _Buckets, den: int) -> None:
+        # The element with coefficients buckets[k][w] / den, den > 0, one
+        # mapping of packed words per weight 0..max_weight: zero numerators
+        # dropped and the gcd divided out, leaving the least common
+        # denominator.  It keeps the dicts it is given (so nothing may
+        # mutate a stored bucket) and shares one read-only mapping among
+        # the empty ones.
         kept = tuple([
             (({w: n for w, n in bucket.items() if n} if 0 in bucket.values() else bucket) or _NO_TERMS)
             if bucket
@@ -340,7 +326,6 @@ class AlgebraElement:
         self.context = context
         self._den = den // common
         self._buckets = kept
-        return self
 
     # -- inspection ---------------------------------------------------
 
@@ -432,7 +417,7 @@ class AlgebraElement:
 
     def _scaled(self, scalar: Fraction) -> AlgebraElement:
         factor = scalar.numerator
-        return _element(
+        return AlgebraElement(
             self.context,
             [{w: n * factor for w, n in bucket.items()} if bucket else bucket for bucket in self._buckets],
             self._den * scalar.denominator,
@@ -452,7 +437,7 @@ class AlgebraElement:
         context = self.context
         out = list(context._no_terms)
         _add_products(out, self._buckets, other._buckets, context._bits, 1)
-        return _element(context, out, self._den * other._den)
+        return AlgebraElement(context, out, self._den * other._den)
 
     def in_context(self, context: AlgebraContext) -> AlgebraElement:
         """Re-express this element in another context.
@@ -490,12 +475,6 @@ _Buckets = Sequence[Mapping[int, int]]
 
 # every empty bucket of every element: one read-only empty mapping
 _NO_TERMS: Mapping[int, int] = MappingProxyType({})
-
-
-def _element(context: AlgebraContext, buckets: _Buckets, den: int) -> AlgebraElement:
-    """The element with coefficients ``buckets[k][w] / den``, ``den > 0``;
-    ``buckets`` holds one mapping of packed words per weight ``0..max_weight``."""
-    return AlgebraElement.__new__(AlgebraElement)._store(context, buckets, den)
 
 
 # -- integer kernels on packed words ------------------------------------------
@@ -559,7 +538,7 @@ def _terms_using(x: AlgebraElement, letters: Collection[int]) -> AlgebraElement:
     for k, bucket in enumerate(x._buckets if letters else ()):  # no letters: no terms
         shifts = range(0, bits * k, bits)
         out[k] = {w: n for w, n in bucket.items() if any(w >> shift & mask in letters for shift in shifts)}
-    return _element(context, out, x._den)
+    return AlgebraElement(context, out, x._den)
 
 
 def _ending_in(x: AlgebraElement, letters: Collection[int]) -> AlgebraElement:
@@ -567,7 +546,7 @@ def _ending_in(x: AlgebraElement, letters: Collection[int]) -> AlgebraElement:
     context = x.context
     mask = (1 << context._bits) - 1
     out = [{w: n for w, n in bucket.items() if w & mask in letters} for bucket in x._buckets]
-    return _element(context, out, x._den)
+    return AlgebraElement(context, out, x._den)
 
 
 def _right_quotient(x: AlgebraElement, letter: int) -> AlgebraElement:
@@ -580,7 +559,7 @@ def _right_quotient(x: AlgebraElement, letter: int) -> AlgebraElement:
     out = list(context._no_terms)
     for k in range(2, len(out)):
         out[k - 1] = {w >> bits: n for w, n in x._buckets[k].items() if w & mask == letter}
-    return _element(context, out, x._den)
+    return AlgebraElement(context, out, x._den)
 
 
 def _relabel(
@@ -606,7 +585,7 @@ def _relabel(
                 packed = packed << new_bits | letter
                 n *= sign
             moved[packed] = n
-    return _element(context, out, x._den)
+    return AlgebraElement(context, out, x._den)
 
 
 def _odd_derivation(x: AlgebraElement, image: Callable[[str], AlgebraElement]) -> AlgebraElement:
@@ -659,7 +638,7 @@ def _odd_derivation(x: AlgebraElement, image: Callable[[str], AlgebraElement]) -
                             target[w] = get(w, 0) + a * b
                 if parities[letter]:
                     a = -a
-    return _element(context, out, x._den * shared)
+    return AlgebraElement(context, out, x._den * shared)
 
 
 class _LinearSum:
@@ -703,7 +682,7 @@ class _LinearSum:
                 total[w] = get(w, 0) + scale * n
 
     def element(self) -> AlgebraElement:
-        return _element(self.context, self.buckets, self.den)
+        return AlgebraElement(self.context, self.buckets, self.den)
 
 
 class GeneratorMorphism:
@@ -774,7 +753,7 @@ def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     out = list(context._no_terms)
     _add_products(out, x._buckets, y._buckets, context._bits, 1)
     _add_products(out, y._buckets, x._buckets, context._bits, 1 if p % 2 and q % 2 else -1)
-    result = _element(context, out, x._den * y._den)
+    result = AlgebraElement(context, out, x._den * y._den)
     if result:
         result._degree = p + q
     return result
@@ -788,7 +767,7 @@ def weight_component(x: AlgebraElement, k: int) -> AlgebraElement:
         )
     out = list(x.context._no_terms)
     out[k] = x._buckets[k]
-    return _element(x.context, out, x._den)
+    return AlgebraElement(x.context, out, x._den)
 
 
 def apply_morphism(m: GeneratorMorphism, x: AlgebraElement) -> AlgebraElement:
@@ -838,7 +817,7 @@ def _right_normed(x: AlgebraElement) -> AlgebraElement:
         if bucket:
             even, odd = _bracketing(bucket, k, context._bits, context._parities)
             out[k] = even | odd
-    return _element(context, out, x._den)
+    return AlgebraElement(context, out, x._den)
 
 
 def is_primitive(x: AlgebraElement, wmax: int) -> bool:
@@ -874,7 +853,7 @@ _SERIES_FIELDS = frozenset(("label", "terms"))
 _PAYLOAD_FIELDS = frozenset(("order", "generators", "series"))
 
 
-def terms_to_json(x: AlgebraElement) -> list[dict]:
+def _terms_to_json(x: AlgebraElement) -> list[dict]:
     """The canonical term list ``[{"coeff": "p/q", "word": [names]}, ...]`` that :func:`encode` writes."""
     return json.loads(_dump_json(x))
 
@@ -892,7 +871,7 @@ def encode(x: AlgebraElement, label: str = "series") -> str:
 
 
 def _context_json(context: AlgebraContext) -> dict:
-    """The ``"order"`` and ``"generators"`` fields that :func:`context_from_json` reads."""
+    """The ``"order"`` and ``"generators"`` fields that :func:`_context_from_json` reads."""
     gens = [{"name": g.name, "degree": g.degree} for g in context.generators]
     return {"order": context.max_weight, "generators": gens}
 
@@ -960,22 +939,21 @@ def _parse_coeff(raw: object) -> tuple[int, int]:
     return (-numerator if sign else numerator), denominator
 
 
-def context_from_json(data: object, path: str = "") -> AlgebraContext:
+def _context_from_json(data: object) -> AlgebraContext:
     """Rebuild an :class:`AlgebraContext` from decoded envelope fields."""
-    dot = f"{path}." if path else ""
-    _expect(isinstance(data, dict), "payload must be a JSON object", path or "$")
+    _expect(isinstance(data, dict), "payload must be a JSON object", "$")
     order = data.get("order")  # type: ignore[union-attr]
     _expect(
         isinstance(order, int) and not isinstance(order, bool) and 1 <= order <= _MAX_PAYLOAD_ORDER,
         f"order must be an integer in 1..{_MAX_PAYLOAD_ORDER}",
-        f"{dot}order",
+        "order",
     )
     raw_gens = data.get("generators")  # type: ignore[union-attr]
-    _expect(isinstance(raw_gens, list) and raw_gens, "generators must be a nonempty list", f"{dot}generators")
+    _expect(isinstance(raw_gens, list) and raw_gens, "generators must be a nonempty list", "generators")
     entries: list[tuple[str, int]] = []
     seen: set[str] = set()
     for i, item in enumerate(raw_gens):  # type: ignore[union-attr]
-        gpath = f"{dot}generators[{i}]"
+        gpath = f"generators[{i}]"
         _expect(isinstance(item, dict), "generator entry must be an object", gpath)
         _expect_fields(item, _GENERATOR_FIELDS, "generator", gpath)
         name = item.get("name")
@@ -992,9 +970,7 @@ def context_from_json(data: object, path: str = "") -> AlgebraContext:
     return AlgebraContext(entries, max_weight=order)  # type: ignore[arg-type]
 
 
-def element_from_json_terms(
-    context: AlgebraContext, data: object, path: str = "terms"
-) -> AlgebraElement:
+def _element_from_json_terms(context: AlgebraContext, data: object, path: str) -> AlgebraElement:
     """Rebuild an element from a canonical term list, strictly validated.
 
     Rejects non-canonical coefficients (``"2/4"``, zero, negative
@@ -1042,7 +1018,7 @@ def element_from_json_terms(
     buckets = context._empty_buckets()
     for weight, packed, numerator, denominator in terms:
         buckets[weight][packed] = numerator * (den // denominator)
-    return _element(context, buckets, den)
+    return AlgebraElement(context, buckets, den)
 
 
 def _load_json(text: str) -> object:
@@ -1059,7 +1035,7 @@ def _load_json(text: str) -> object:
 def decode(text: str) -> AlgebraElement:
     """Parse the canonical JSON series format back into an element."""
     data = _load_json(text)
-    context = context_from_json(data)
+    context = _context_from_json(data)
     _expect_fields(data, _PAYLOAD_FIELDS, "payload", "$")  # type: ignore[arg-type]
     _expect("series" in data, "missing series object", "series")  # type: ignore[operator]
     series = data["series"]
@@ -1067,7 +1043,7 @@ def decode(text: str) -> AlgebraElement:
     _expect_fields(series, _SERIES_FIELDS, "series", "series")
     label = series.get("label")
     _expect(isinstance(label, str), "series label must be a string", "series.label")
-    return element_from_json_terms(context, series.get("terms"), path="series.terms")
+    return _element_from_json_terms(context, series.get("terms"), "series.terms")
 
 
 # -- display ------------------------------------------------------------

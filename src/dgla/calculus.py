@@ -24,16 +24,11 @@ Every scalar series is read off the coefficients of ``e^{sT}`` before
 ``(e^T - 1)/T`` and the flow integrator ``(1 - e^{-tT})/T`` are slices
 of it, and ``T/(e^T - 1)`` and ``T/(1 - e^{+-T})`` are reciprocals of
 such slices.
-
-The Bernoulli series is memoized through :func:`functools.lru_cache`,
-which is safe under concurrent readers in CPython (at worst a value is
-computed twice).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -98,11 +93,10 @@ def _reciprocal(series: Sequence[Fraction], order: int) -> list[Fraction]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_series(order: int) -> tuple[Fraction, ...]:
+def _bernoulli_series(order: int) -> list[Fraction]:
     # T/(e^T - 1) = 1 / ((e^T - 1)/T) through T^order; its k-th
     # coefficient is B_k/k!
-    return tuple(_reciprocal(_exponential(1, order + 1)[1:], order))
+    return _reciprocal(_exponential(1, order + 1)[1:], order)
 
 
 def bernoulli(n: int) -> Fraction:
@@ -158,10 +152,12 @@ def _series_walk(
 ) -> list[AlgebraElement]:
     # sum_k table[k] step^k(start) for every table, from one walk over
     # the powers; only the current power and one running sum per table
-    # are kept, and the walk stops at the first power that vanishes
+    # are kept, and the walk stops at the first power that vanishes or
+    # after the last nonzero coefficient of any table
     sums = [_LinearSum(start.context) for _ in tables]
+    last = max((k for table in tables for k, c in enumerate(table) if c), default=-1)
     current = start
-    for k in range(max(map(len, tables), default=0)):
+    for k in range(last + 1):
         if k:
             current = step(current)
             if not current:
@@ -196,22 +192,17 @@ def log_assoc(z: AlgebraElement) -> AlgebraElement:
     return _series_walk(z, lambda power: power * z, [table])[0]
 
 
-def bch(
-    xs: Sequence[AlgebraElement], context: AlgebraContext | None = None
-) -> AlgebraElement:
+def bch(xs: Sequence[AlgebraElement]) -> AlgebraElement:
     """The multi-argument Baker-Campbell-Hausdorff element.
 
     Computes ``log`` of the product of the exponentials of the inputs,
     truncated at the context's max weight, so that
     ``exp(bch([x1, ..., xn])) = exp(x1) ... exp(xn)`` holds through that
-    weight.  Inputs must be graded-homogeneous of degree 0.  An empty
-    input list yields the zero element of ``context``, which must then
-    be supplied.
+    weight.  Inputs must be graded-homogeneous of degree 0, and there
+    must be at least one.
     """
     if not xs:
-        if context is None:
-            raise ValueError("bch of an empty list needs an explicit context")
-        return context.zero()
+        raise ValueError("bch needs at least one argument")
     product: AlgebraElement | None = None
     for x in xs:
         degree = x.homogeneous_degree()
@@ -303,24 +294,15 @@ def maurer_cartan_defect(model: "CellModel", p: AlgebraElement) -> AlgebraElemen
     return extend_differential(model, p) + Fraction(1, 2) * bracket(p, p)
 
 
-def twisted_differential(
-    model: "CellModel",
-    p: AlgebraElement,
-    x: AlgebraElement,
-    verify_point: bool = True,
-) -> AlgebraElement:
+def twisted_differential(model: "CellModel", p: AlgebraElement, x: AlgebraElement) -> AlgebraElement:
     """The differential twisted by a point: ``D x + [p, x]``.
 
     ``p`` must satisfy the flatness equation exactly at the model's
-    order; pass ``verify_point=False`` to skip re-checking a point that
-    was already verified (the check costs a full defect computation).
+    order, which is checked on every call.
     """
-    if verify_point:
-        defect = maurer_cartan_defect(model, p)
-        if defect:
-            raise FlatnessError(
-                f"twisting requires a flat point; defect has weights {defect.weights()}"
-            )
+    defect = maurer_cartan_defect(model, p)
+    if defect:
+        raise FlatnessError(f"twisting requires a flat point; defect has weights {defect.weights()}")
     return extend_differential(model, x) + bracket(p, x)
 
 

@@ -192,7 +192,7 @@ class _ExprParser:
                     break
             self._expect_symbol(")")
             self.depth -= 1
-            return bch(arguments, context=self.context)
+            return bch(arguments)
         try:
             return self.context.gen(value)
         except KeyError:
@@ -328,7 +328,7 @@ def _cmd_bch(args: argparse.Namespace) -> int:
     context = _parse_generator_list(args.gens, order)
     try:
         elements = [_ExprParser(context, text).parse() for text in args.exprs]
-        result = bch(elements, context=context)
+        result = bch(elements)
     except GradingError as exc:
         raise UsageError(str(exc))
     _emit(_render(result, "bch", args.format), args.output)
@@ -361,15 +361,15 @@ def _expand_element(label: str, model_name: str, order: int) -> AlgebraElement:
 
 def _cmd_expand(args: argparse.Namespace) -> int:
     order = _validate_order(args.order)
-    element = _expand_element(args.label, args.model, order)
     weight = args.weight
     if args.brackets is not None:
         if args.brackets < 0:
             raise UsageError(f"--brackets must be nonnegative, got {args.brackets}")
         weight = args.brackets + 1
+    if weight is not None and not 1 <= weight <= order:
+        raise UsageError(f"--weight must lie in 1..{order}, got {weight}")
+    element = _expand_element(args.label, args.model, order)
     if weight is not None:
-        if not 1 <= weight <= order:
-            raise UsageError(f"--weight must lie in 1..{order}, got {weight}")
         element = weight_component(element, weight)
     _emit(_render(element, args.label, args.format), args.output)
     return 0

@@ -24,7 +24,6 @@ the cached instances are safe to share.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -35,17 +34,17 @@ from .algebra import (
     AlgebraElement,
     GeneratorMorphism,
     SeriesParseError,
+    _context_from_json,
     _context_json,
     _dump_json,
+    _element_from_json_terms,
     _expect_fields,
     _load_json,
     _right_normed,
+    _terms_to_json,
     _terms_using,
     apply_morphism,
     bracket,
-    context_from_json,
-    element_from_json_terms,
-    terms_to_json,
     weight_component,
 )
 from .calculus import (
@@ -68,16 +67,11 @@ __all__ = [
     "build_named_model",
     "build_one_complex",
     "check_equivariance",
-    "circle_complex",
     "compare_reference_second_order",
     "compute_symmetric_data",
     "decode_model",
     "disc_reflection_morphism",
     "encode_model",
-    "interval_complex",
-    "model_from_json_dict",
-    "model_to_json_dict",
-    "point_complex",
     "reflection_morphism",
     "rotation_morphism",
     "symmetry_morphism",
@@ -172,7 +166,7 @@ class VerificationReport:
                 {
                     "name": check.name,
                     "pass": check.passed,
-                    "witness": None if check.witness is None else terms_to_json(check.witness),
+                    "witness": None if check.witness is None else _terms_to_json(check.witness),
                 }
                 for check in self.checks
             ],
@@ -180,19 +174,6 @@ class VerificationReport:
 
 
 # -- complexes and builders ----------------------------------------------
-
-
-def point_complex() -> OneComplex:
-    return OneComplex(("a",))
-
-
-def interval_complex() -> OneComplex:
-    return OneComplex(("a", "b"), (("e", "a", "b"),))
-
-
-def circle_complex() -> OneComplex:
-    """A circle subdivided into two vertices and two edges."""
-    return OneComplex(("a", "b"), (("e", "a", "b"), ("f", "b", "a")))
 
 
 def _verified(model: CellModel) -> CellModel:
@@ -321,21 +302,24 @@ class _Entry(NamedTuple):
 
 _DIHEDRAL = {"sigma": rotation_morphism, "iota": reflection_morphism}
 
+# a circle subdivided into two vertices and two edges
+_CIRCLE = OneComplex(("a", "b"), (("e", "a", "b"), ("f", "b", "a")))
+
 # The disc's loop edge gets De = [e, a], since T/(1 - e^T) + T/(1 - e^-T) = T.
 # Both based bigons are invariant under the reflection but not under the
 # rotation, which carries one to the other; the symmetric bigon has both.
 _CATALOGUE = {
-    "point": _Entry(point_complex(), None, {}),
-    "interval": _Entry(interval_complex(), None, {}),
-    "circle2": _Entry(circle_complex(), None, _DIHEDRAL),
+    "point": _Entry(OneComplex(("a",)), None, {}),
+    "interval": _Entry(OneComplex(("a", "b"), (("e", "a", "b"),)), None, {}),
+    "circle2": _Entry(_CIRCLE, None, _DIHEDRAL),
     "disc1": _Entry(
         OneComplex(("a",), (("e", "a", "a"),)),
         _based_at("a", "e"),
         {"iota": disc_reflection_morphism},
     ),
-    "bigon-a": _Entry(circle_complex(), _based_at("a", "e", "f"), _DIHEDRAL),
-    "bigon-b": _Entry(circle_complex(), _based_at("b", "f", "e"), _DIHEDRAL),
-    "bigon-sym": _Entry(circle_complex(), _midpoint, _DIHEDRAL),
+    "bigon-a": _Entry(_CIRCLE, _based_at("a", "e", "f"), _DIHEDRAL),
+    "bigon-b": _Entry(_CIRCLE, _based_at("b", "f", "e"), _DIHEDRAL),
+    "bigon-sym": _Entry(_CIRCLE, _midpoint, _DIHEDRAL),
 }
 
 MODEL_NAMES = tuple(_CATALOGUE)
@@ -442,20 +426,29 @@ def compare_reference_second_order(order: int = 6) -> bool:
 _ENVELOPE_FIELDS = frozenset(("model", "order", "generators", "boundary0", "closure", "differential"))
 
 
-def model_to_json_dict(model: CellModel, name: str) -> dict:
-    """The JSON envelope: generators, boundaries, closures, differentials."""
-    return json.loads(encode_model(model, name))
+def encode_model(model: CellModel, name: str) -> str:
+    """The envelope's text, as :func:`~dgla.algebra.encode` writes a series:
+    ``json.dumps`` with an indent, the terms read from the stored numerators."""
+    gens = model.context.generators
+    return _dump_json({
+        "model": name,
+        **_context_json(model.context),
+        "boundary0": {g.name: model.boundary0[g.name] for g in gens},
+        "closure": {g.name: [h.name for h in gens if h.name in model.closure[g.name]] for g in gens},
+        "differential": {g.name: model.differential[g.name] for g in gens},
+    })
 
 
-def model_from_json_dict(data: object) -> tuple[str, CellModel]:
-    """Rebuild a model from its JSON envelope; strict validation throughout."""
+def decode_model(text: str) -> tuple[str, CellModel]:
+    """Rebuild a model from its envelope text; strict validation throughout."""
+    data = _load_json(text)
     if not isinstance(data, dict):
         raise SeriesParseError("model envelope must be a JSON object", position="$")
     _expect_fields(data, _ENVELOPE_FIELDS, "envelope", "$")
     name = data.get("model")
     if not isinstance(name, str) or not name:
         raise SeriesParseError("model name must be a nonempty string", position="model")
-    context = context_from_json(data)
+    context = _context_from_json(data)
     names = set(context.names)
     tables: dict[str, dict[str, AlgebraElement]] = {}
     for field in ("boundary0", "differential"):
@@ -465,7 +458,7 @@ def model_from_json_dict(data: object) -> tuple[str, CellModel]:
                 f"{field} must map exactly the declared generators", position=field
             )
         tables[field] = {
-            gname: element_from_json_terms(context, terms, path=f"{field}.{gname}")
+            gname: _element_from_json_terms(context, terms, f"{field}.{gname}")
             for gname, terms in raw.items()
         }
     raw_closure = data.get("closure")
@@ -489,20 +482,3 @@ def model_from_json_dict(data: object) -> tuple[str, CellModel]:
         closure=closure,
     )
     return name, model
-
-
-def encode_model(model: CellModel, name: str) -> str:
-    """The envelope's text, as :func:`~dgla.algebra.encode` writes a series:
-    ``json.dumps`` with an indent, the terms read from the stored numerators."""
-    gens = model.context.generators
-    return _dump_json({
-        "model": name,
-        **_context_json(model.context),
-        "boundary0": {g.name: model.boundary0[g.name] for g in gens},
-        "closure": {g.name: [h.name for h in gens if h.name in model.closure[g.name]] for g in gens},
-        "differential": {g.name: model.differential[g.name] for g in gens},
-    })
-
-
-def decode_model(text: str) -> tuple[str, CellModel]:
-    return model_from_json_dict(_load_json(text))

@@ -227,13 +227,8 @@ def test_criterion_6_calculus_properties(circle, bigon_sym):
         endpoint = flow(circle, direction, cctx.gen("a"), 1)
         assert maurer_cartan_defect(circle, endpoint).is_zero()
         for word in words:
-            lhs = twisted_differential(
-                circle, endpoint, exp_ad(-direction, word), verify_point=False
-            )
-            rhs = exp_ad(
-                -direction,
-                twisted_differential(circle, cctx.gen("a"), word, verify_point=False),
-            )
+            lhs = twisted_differential(circle, endpoint, exp_ad(-direction, word))
+            rhs = exp_ad(-direction, twisted_differential(circle, cctx.gen("a"), word))
             assert lhs == rhs
 
 

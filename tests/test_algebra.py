@@ -206,7 +206,7 @@ class TestMorphisms:
 
     def test_signs_multiply_along_words(self):
         flip = GeneratorMorphism(CTX, {"e": "-f", "f": "-e", "g": "-g"})
-        word = CTX.word(("e", "f", "g"))
+        word = CTX.element({("e", "f", "g"): 1})
         assert apply_morphism(flip, word) == CTX.element({("f", "e", "g"): -1})
 
     def test_degree_preservation_enforced(self):
@@ -254,7 +254,7 @@ class TestPrimitivity:
         assert is_primitive(got, 4)
 
     def test_bare_word_is_not_primitive(self):
-        assert not is_primitive(CTX.word(("e", "f")), 2)
+        assert not is_primitive(CTX.element({("e", "f"): 1}), 2)
 
     def test_guard(self):
         # every weight up to the truncation is accepted; nothing else

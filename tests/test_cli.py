@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import dgla.cli
 from dgla import bch, bracket, build_named_model, decode, decode_model, weight_component
 from dgla.algebra import AlgebraContext
 from dgla.cli import MAX_BCH_NESTING, main
@@ -119,6 +120,24 @@ class TestExpandCommand:
         code, _, err = run_cli(capsys, "expand", "q", "--order", "4", "--weight", "9")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--weight", "11"), "error: --weight must lie in 1..10, got 11\n"),
+            (("--weight", "0"), "error: --weight must lie in 1..10, got 0\n"),
+            (("--brackets", "-1"), "error: --brackets must be nonnegative, got -1\n"),
+            (("--brackets", "10"), "error: --weight must lie in 1..10, got 11\n"),
+        ],
+    )
+    def test_bad_weight_rejected_before_the_model_is_built(self, capsys, monkeypatch, argv, message):
+        def refuse(*args):
+            raise AssertionError("built a model for a usage error")
+
+        monkeypatch.setattr(dgla.cli, "build_named_model", refuse)
+        monkeypatch.setattr(dgla.cli, "compute_symmetric_data", refuse)
+        for label in ("Dg", "x"):
+            assert run_cli(capsys, "expand", label, "--order", "10", *argv) == (2, "", message)
 
     def test_unknown_label(self, capsys):
         code, _, err = run_cli(capsys, "expand", "Dq")

@@ -29,15 +29,13 @@ from dgla import (
     flow,
     is_primitive,
     log_assoc,
-    model_to_json_dict,
-    terms_to_json,
     weight_component,
 )
+from dgla.algebra import _terms_to_json
 from dgla.models import MODEL_NAMES
 from oracles import (
     dumps_encode,
     dumps_encode_model,
-    dumps_model_dict,
     dumps_terms,
     friedrichs_primitive,
     iterative_flow,
@@ -152,7 +150,8 @@ def lie_candidates(draw, context):
             piece = nested(4)
         elif kind == "word":
             letters = st.sampled_from(context.names)
-            piece = context.word(draw(st.lists(letters, min_size=1, max_size=context.max_weight)))
+            word = draw(st.lists(letters, min_size=1, max_size=context.max_weight))
+            piece = context.element({tuple(word): 1})
         else:
             piece = nested(2)
             piece = piece * piece
@@ -229,7 +228,7 @@ class TestJsonWriter:
         x = data.draw(graded_elements(ctx, 0)) + data.draw(graded_elements(ctx, -1))
         for element in (x, ctx.zero()):
             assert encode(element, label=label) == dumps_encode(element, label)
-            assert terms_to_json(element) == dumps_terms(element)
+            assert _terms_to_json(element) == dumps_terms(element)
 
     @pytest.mark.parametrize("order", range(1, 9))
     def test_every_model_against_the_dumps_oracle(self, order):
@@ -237,7 +236,6 @@ class TestJsonWriter:
             model = build_named_model(name, order)
             text = encode_model(model, name)
             assert text == dumps_encode_model(model, name)
-            assert model_to_json_dict(model, name) == dumps_model_dict(model, name)
             assert decode_model(text) == (name, model)
             for dg in model.differential.values():
                 assert decode(encode(dg)) == dg
