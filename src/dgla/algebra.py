@@ -54,7 +54,6 @@ __all__ = [
     "GradingError",
     "SeriesParseError",
     "apply_morphism",
-    "as_fraction",
     "bracket",
     "decode",
     "encode",
@@ -86,7 +85,7 @@ class SeriesParseError(ValueError):
         self.position = position
 
 
-def as_fraction(value: int | Fraction) -> Fraction:
+def _as_fraction(value: int | Fraction) -> Fraction:
     """Coerce an exact scalar to :class:`Fraction`; floats are refused."""
     if isinstance(value, Fraction):
         return value
@@ -198,7 +197,7 @@ class AlgebraContext:
         """
         coeffs: list[dict[int, Fraction]] = self._empty_buckets()  # type: ignore[assignment]
         for raw_word, raw_coeff in terms.items():
-            coeff = as_fraction(raw_coeff)
+            coeff = _as_fraction(raw_coeff)
             if not coeff:
                 continue
             word = self._normalize_word(raw_word)
@@ -427,10 +426,10 @@ class AlgebraElement:
         if isinstance(other, AlgebraElement):
             self._require_same_context(other)
             return self._concat(other)
-        return self._scaled(as_fraction(other))
+        return self._scaled(_as_fraction(other))
 
     def __rmul__(self, scalar: int | Fraction) -> AlgebraElement:
-        return self._scaled(as_fraction(scalar))
+        return self._scaled(_as_fraction(scalar))
 
     def _concat(self, other: AlgebraElement) -> AlgebraElement:
         """Associative product, truncated at the context's max weight."""

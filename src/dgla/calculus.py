@@ -36,11 +36,11 @@ from .algebra import (
     AlgebraContext,
     AlgebraElement,
     GradingError,
+    _as_fraction,
     _ending_in,
     _LinearSum,
     _odd_derivation,
     _right_quotient,
-    as_fraction,
     bracket,
 )
 
@@ -77,7 +77,7 @@ class FlatnessError(ValueError):
 
 def _exponential(scale: int | Fraction, order: int) -> list[Fraction]:
     # e^{scale T} through T^order: every exponential series is read off it
-    s = as_fraction(scale)
+    s = _as_fraction(scale)
     out = [Fraction(1)]
     for k in range(1, order + 1):
         out.append(out[-1] * s / k)
@@ -120,7 +120,7 @@ def _edge_series(sign: int, order: int) -> list[Fraction]:
 def _integrator(t: int | Fraction, order: int) -> list[Fraction]:
     # (1 - e^{-tT})/T through T^(order - 1), the series every flow walks;
     # t is made exact before it is negated (-True is -1)
-    return [-c for c in _exponential(-as_fraction(t), order)[1:]]
+    return [-c for c in _exponential(-_as_fraction(t), order)[1:]]
 
 
 def apply_operator_series(
@@ -135,7 +135,7 @@ def apply_operator_series(
     """
     if not isinstance(coeffs, Sequence):
         raise TypeError("operator series coefficients must be a sequence indexed by power")
-    table = [as_fraction(c) for c in coeffs]
+    table = [_as_fraction(c) for c in coeffs]
     if direction.context != target.context:
         raise GradingError("direction and target must share a context")
     ddeg = direction.homogeneous_degree()

@@ -10,9 +10,11 @@ time by one builder: vertices get the flatness differential
 :func:`build_one_complex` covers arbitrary 1-complexes; the catalogue
 behind :func:`build_named_model` adds the point, the interval, the
 two-vertex circle, the disc with a single vertex, the two bigon models
-based at a vertex, and the dihedrally symmetric bigon, whose basepoint
-is the midpoint ``x`` and whose holonomy is the kernel element ``q`` of
-:func:`compute_symmetric_data`.
+based at a vertex, and the dihedrally symmetric bigon.  The symmetric
+bigon's basepoint ``x`` and holonomy ``q`` (:func:`compute_symmetric_data`)
+are those of the bigon based at ``a``, both flowed by the midpoint
+direction ``v`` for time 1/2.  Each catalogued symmetry is a generator
+map, resolved by :func:`symmetry_morphism`.
 
 Every builder verifies the model it returns and raises
 :class:`RuntimeError` naming the failed checks.  The checks run once
@@ -48,12 +50,11 @@ from .algebra import (
     weight_component,
 )
 from .calculus import (
-    _exponential,
     _vertex_flows,
-    apply_operator_series,
     bch,
     edge_differential,
     extend_differential,
+    flow,
     maurer_cartan_defect,
 )
 
@@ -70,10 +71,7 @@ __all__ = [
     "compare_reference_second_order",
     "compute_symmetric_data",
     "decode_model",
-    "disc_reflection_morphism",
     "encode_model",
-    "reflection_morphism",
-    "rotation_morphism",
     "symmetry_morphism",
     "verify_model",
 ]
@@ -227,16 +225,18 @@ def compute_symmetric_data(order: int = 6) -> SymmetricBigonData:
 
     ``v`` interpolates the two edge directions symmetrically:
     ``v = bch(-1/2 bch(e, f), e)``, so flowing by ``v`` for unit time
-    carries one vertex to the other, and the midpoint is
-    ``x = flow(v, a, 1/2)``, flowed in vertex-module coordinates (words
-    ending in a vertex, each step a left multiplication by ``v``) and
-    bracketed back.  ``q = bch(-v/2, e, f, v/2)`` spans the
-    kernel of the differential twisted by ``x``, with weight-1 part
-    ``e + f``.  Two internal cross-checks guard the construction:
-    ``q`` must agree with ``exp(-1/2 ad_v)`` applied to ``bch(e, f)``,
-    and the coordinates of the unit-time flow of ``a`` by ``v``, from
-    the same walk, must be those of ``b`` on the nose.  Results live in
-    the circle context and are cached per order.
+    carries one vertex to the other.  ``x`` and ``q`` are the basepoint
+    ``a`` and the holonomy ``bch(e, f)`` of ``bigon-a``, both flowed by
+    ``v`` for time 1/2.  The midpoint ``x`` is flowed in vertex-module
+    coordinates (words ending in a vertex, each step a left
+    multiplication by ``v``) and bracketed back; the degree-0 holonomy
+    flows to ``q = exp(-1/2 ad_v) bch(e, f)``, which spans the kernel of
+    the differential twisted by ``x``, with weight-1 part ``e + f``.
+    One internal cross-check guards the construction, and it is the
+    only :class:`RuntimeError` raised here: the coordinates of the
+    unit-time flow of ``a`` by ``v``, from the same walk as ``x``, must
+    be those of ``b`` on the nose.  Results live in the circle context
+    and are cached per order.
     """
     circle = build_named_model("circle2", order)
     context = circle.context
@@ -246,34 +246,10 @@ def compute_symmetric_data(order: int = 6) -> SymmetricBigonData:
     loop = bch([e, f])
     v = bch([-half * loop, e])
     midpoint, unit_time = _vertex_flows(circle, v, a, (half, 1))
-    q = bch([-half * v, e, f, half * v])
-    transported = apply_operator_series(_exponential(-half, order - 1), v, loop)
-    if q != transported:
-        raise RuntimeError("kernel element disagrees with its conjugation form")
     if unit_time != b:
         raise RuntimeError("unit-time flow by the midpoint direction misses the far vertex")
+    q = flow(circle, v, loop, half)
     return SymmetricBigonData(v=v, x=_right_normed(midpoint), q=q)
-
-
-# -- symmetry morphisms -----------------------------------------------------
-
-
-def rotation_morphism(context: AlgebraContext) -> GeneratorMorphism:
-    """Swap the two vertices and the two edges; fix the 2-cell if present."""
-    return GeneratorMorphism(context, {"a": "b", "b": "a", "e": "f", "f": "e"})
-
-
-def reflection_morphism(context: AlgebraContext) -> GeneratorMorphism:
-    """Reverse both edges into each other and flip the 2-cell's orientation."""
-    mapping: dict[str, str] = {"e": "-f", "f": "-e"}
-    if "g" in context.names:
-        mapping["g"] = "-g"
-    return GeneratorMorphism(context, mapping)
-
-
-def disc_reflection_morphism(context: AlgebraContext) -> GeneratorMorphism:
-    """Reverse the loop edge and the 2-cell of the one-vertex disc."""
-    return GeneratorMorphism(context, {"e": "-e", "g": "-g"})
 
 
 # -- the catalogue -------------------------------------------------------------
@@ -297,13 +273,18 @@ def _midpoint(context: AlgebraContext) -> tuple[AlgebraElement, AlgebraElement]:
 class _Entry(NamedTuple):
     skeleton: OneComplex
     cell: _CellData | None
-    symmetries: Mapping[str, Callable[[AlgebraContext], GeneratorMorphism]]
+    symmetries: Mapping[str, Mapping[str, str]]  # name -> generator map
 
-
-_DIHEDRAL = {"sigma": rotation_morphism, "iota": reflection_morphism}
 
 # a circle subdivided into two vertices and two edges
 _CIRCLE = OneComplex(("a", "b"), (("e", "a", "b"), ("f", "b", "a")))
+
+# sigma swaps the vertices and the edges and fixes the 2-cell; iota
+# reverses both edges into each other and flips the 2-cell
+_ROTATION = {"a": "b", "b": "a", "e": "f", "f": "e"}
+_REFLECTION = {"e": "-f", "f": "-e"}
+_CIRCLE_SYMMETRIES = {"sigma": _ROTATION, "iota": _REFLECTION}
+_BIGON_SYMMETRIES = {"sigma": _ROTATION, "iota": {**_REFLECTION, "g": "-g"}}
 
 # The disc's loop edge gets De = [e, a], since T/(1 - e^T) + T/(1 - e^-T) = T.
 # Both based bigons are invariant under the reflection but not under the
@@ -311,15 +292,15 @@ _CIRCLE = OneComplex(("a", "b"), (("e", "a", "b"), ("f", "b", "a")))
 _CATALOGUE = {
     "point": _Entry(OneComplex(("a",)), None, {}),
     "interval": _Entry(OneComplex(("a", "b"), (("e", "a", "b"),)), None, {}),
-    "circle2": _Entry(_CIRCLE, None, _DIHEDRAL),
+    "circle2": _Entry(_CIRCLE, None, _CIRCLE_SYMMETRIES),
     "disc1": _Entry(
         OneComplex(("a",), (("e", "a", "a"),)),
         _based_at("a", "e"),
-        {"iota": disc_reflection_morphism},
+        {"iota": {"e": "-e", "g": "-g"}},  # reverse the loop edge and the 2-cell
     ),
-    "bigon-a": _Entry(_CIRCLE, _based_at("a", "e", "f"), _DIHEDRAL),
-    "bigon-b": _Entry(_CIRCLE, _based_at("b", "f", "e"), _DIHEDRAL),
-    "bigon-sym": _Entry(_CIRCLE, _midpoint, _DIHEDRAL),
+    "bigon-a": _Entry(_CIRCLE, _based_at("a", "e", "f"), _BIGON_SYMMETRIES),
+    "bigon-b": _Entry(_CIRCLE, _based_at("b", "f", "e"), _BIGON_SYMMETRIES),
+    "bigon-sym": _Entry(_CIRCLE, _midpoint, _BIGON_SYMMETRIES),
 }
 
 MODEL_NAMES = tuple(_CATALOGUE)
@@ -335,11 +316,12 @@ def build_named_model(name: str, order: int = 6) -> CellModel:
 
 
 def symmetry_morphism(model_name: str, context: AlgebraContext, which: str) -> GeneratorMorphism:
-    """Resolve ``sigma``/``iota`` to the morphism a named model supports."""
+    """Resolve ``sigma``/``iota`` to the generator map a named model
+    supports, as a morphism of ``context``."""
     entry = _CATALOGUE.get(model_name)
     if entry is None or which not in entry.symmetries:
         raise KeyError(f"model {model_name!r} has no morphism {which!r}")
-    return entry.symmetries[which](context)
+    return GeneratorMorphism(context, entry.symmetries[which])
 
 
 # -- verification ------------------------------------------------------------

@@ -26,8 +26,7 @@ from dgla import (
     flow,
     is_primitive,
     maurer_cartan_defect,
-    reflection_morphism,
-    rotation_morphism,
+    symmetry_morphism,
     twisted_differential,
     verify_model,
     weight_component,
@@ -118,13 +117,15 @@ def test_criterion_5_theorem_suite(circle, bigon_a, bigon_b, bigon_sym, symdata)
     assert twisted_differential(circle, symdata.x, symdata.q).is_zero()
     assert extend_differential(bigon_sym, bigon_sym.differential["g"]).is_zero()
 
-    assert check_equivariance(bigon_sym, rotation_morphism(bigon_sym.context)).overall
-    assert check_equivariance(bigon_sym, reflection_morphism(bigon_sym.context)).overall
+    for which in ("sigma", "iota"):
+        morphism = symmetry_morphism("bigon-sym", bigon_sym.context, which)
+        assert check_equivariance(bigon_sym, morphism).overall
 
-    assert check_equivariance(bigon_a, reflection_morphism(bigon_a.context)).overall
-    assert not check_equivariance(bigon_a, rotation_morphism(bigon_a.context)).overall
+    rotate = symmetry_morphism("bigon-a", bigon_a.context, "sigma")
+    reflect = symmetry_morphism("bigon-a", bigon_a.context, "iota")
+    assert check_equivariance(bigon_a, reflect).overall
+    assert not check_equivariance(bigon_a, rotate).overall
 
-    rotate = rotation_morphism(bigon_a.context)
     for gen in bigon_a.context.generators:
         image_of_diff = apply_morphism(rotate, bigon_a.differential[gen.name])
         diff_of_image = extend_differential(

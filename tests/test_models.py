@@ -12,7 +12,6 @@ from dgla import (
     OneComplex,
     SeriesParseError,
     apply_morphism,
-    apply_operator_series,
     bch,
     bracket,
     build_named_model,
@@ -22,21 +21,18 @@ from dgla import (
     compute_symmetric_data,
     decode,
     decode_model,
-    disc_reflection_morphism,
     encode,
     encode_model,
     extend_differential,
     flow,
     is_primitive,
     maurer_cartan_defect,
-    reflection_morphism,
-    rotation_morphism,
     symmetry_morphism,
     twisted_differential,
     verify_model,
     weight_component,
 )
-from dgla.calculus import _exponential
+from dgla.calculus import _vertex_flows
 from dgla.models import MODEL_NAMES
 
 
@@ -115,7 +111,7 @@ class TestBuilders:
         assert twisted_differential(disc, ctx.gen("a"), ctx.gen("g")) == ctx.gen("e")
 
     def test_disc_reflection_equivariance(self, disc):
-        assert check_equivariance(disc, disc_reflection_morphism(disc.context)).overall
+        assert check_equivariance(disc, symmetry_morphism("disc1", disc.context, "iota")).overall
 
     def test_based_bigon_two_cell(self, bigon_a):
         ctx = bigon_a.context
@@ -125,16 +121,16 @@ class TestBuilders:
 
 class TestBasedBigonSymmetry:
     def test_reflection_passes(self, bigon_a):
-        assert check_equivariance(bigon_a, reflection_morphism(bigon_a.context)).overall
+        assert check_equivariance(bigon_a, symmetry_morphism("bigon-a", bigon_a.context, "iota")).overall
 
     def test_rotation_fails(self, bigon_a):
-        report = check_equivariance(bigon_a, rotation_morphism(bigon_a.context))
+        report = check_equivariance(bigon_a, symmetry_morphism("bigon-a", bigon_a.context, "sigma"))
         assert not report.overall
         failed = {c.name for c in report.failures()}
         assert failed == {"commutes_with_differential[g]"}
 
     def test_rotation_carries_model_a_to_model_b(self, bigon_a, bigon_b):
-        rotate = rotation_morphism(bigon_a.context)
+        rotate = symmetry_morphism("bigon-a", bigon_a.context, "sigma")
         for g in bigon_a.context.generators:
             image_of_diff = apply_morphism(rotate, bigon_a.differential[g.name])
             diff_of_image = extend_differential(
@@ -146,19 +142,22 @@ class TestBasedBigonSymmetry:
 class TestSymmetricData:
     def test_midpoint_direction_symmetry(self, circle, symdata):
         # the reflection fixes v, the rotation negates it
-        assert apply_morphism(reflection_morphism(circle.context), symdata.v) == symdata.v
-        assert apply_morphism(rotation_morphism(circle.context), symdata.v) == -symdata.v
+        rotate, reflect = (symmetry_morphism("circle2", circle.context, w) for w in ("sigma", "iota"))
+        assert apply_morphism(reflect, symdata.v) == symdata.v
+        assert apply_morphism(rotate, symdata.v) == -symdata.v
 
     def test_midpoint_symmetry(self, circle, symdata):
-        assert apply_morphism(rotation_morphism(circle.context), symdata.x) == symdata.x
-        assert apply_morphism(reflection_morphism(circle.context), symdata.x) == symdata.x
+        rotate, reflect = (symmetry_morphism("circle2", circle.context, w) for w in ("sigma", "iota"))
+        assert apply_morphism(rotate, symdata.x) == symdata.x
+        assert apply_morphism(reflect, symdata.x) == symdata.x
 
     def test_midpoint_is_a_point(self, circle, symdata):
         assert maurer_cartan_defect(circle, symdata.x).is_zero()
 
     def test_kernel_element_symmetry(self, circle, symdata):
-        assert apply_morphism(rotation_morphism(circle.context), symdata.q) == symdata.q
-        assert apply_morphism(reflection_morphism(circle.context), symdata.q) == -symdata.q
+        rotate, reflect = (symmetry_morphism("circle2", circle.context, w) for w in ("sigma", "iota"))
+        assert apply_morphism(rotate, symdata.q) == symdata.q
+        assert apply_morphism(reflect, symdata.q) == -symdata.q
 
     def test_kernel_element_is_closed(self, circle, symdata):
         assert twisted_differential(circle, symdata.x, symdata.q).is_zero()
@@ -175,11 +174,24 @@ class TestSymmetricData:
         e, f, v = ctx.gen("e"), ctx.gen("f"), symdata.v
         assert bch([v, f, e, -v]) == bch([e, f])
 
-    def test_kernel_element_transport_form(self, circle, symdata):
-        ctx = circle.context
-        loop = bch([ctx.gen("e"), ctx.gen("f")])
-        transported = apply_operator_series(_exponential(Fraction(-1, 2), 5), symdata.v, loop)
-        assert symdata.q == transported
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_kernel_element_bch_form(self, order):
+        # q is computed as a flow of bch(e, f); the 4-argument bch of the
+        # conjugation e^{-v/2} e^e e^f e^{v/2} is the independent route
+        data = compute_symmetric_data(order)
+        ctx = data.q.context
+        half_v = Fraction(1, 2) * data.v
+        assert data.q == bch([-half_v, ctx.gen("e"), ctx.gen("f"), half_v])
+
+    def test_unit_time_check_rejects_a_missed_vertex(self, monkeypatch):
+        # the one runtime cross-check: the unit-time coordinates must be b's
+        def perturbed(model, direction, start, times):
+            midpoint, unit_time = _vertex_flows(model, direction, start, times)
+            return [midpoint, unit_time + model.context.gen("a")]
+
+        monkeypatch.setattr(dgla.models, "_vertex_flows", perturbed)
+        with pytest.raises(RuntimeError, match="misses the far vertex"):
+            compute_symmetric_data.__wrapped__(3)
 
     def test_even_weights_vanish(self, symdata):
         for k in (2, 4, 6):
@@ -216,7 +228,7 @@ class TestDirectionDifferentialExpansion:
     def test_direction_differential_is_chain_compatible(self, circle, symdata):
         dv = extend_differential(circle, symdata.v)
         assert extend_differential(circle, dv).is_zero()
-        rotate = rotation_morphism(circle.context)
+        rotate = symmetry_morphism("circle2", circle.context, "sigma")
         assert apply_morphism(rotate, dv) == -dv
 
 
@@ -233,8 +245,8 @@ class TestSymmetricBigon:
 
     def test_full_dihedral_equivariance(self, bigon_sym):
         ctx = bigon_sym.context
-        rotate = rotation_morphism(ctx)
-        reflect = reflection_morphism(ctx)
+        rotate = symmetry_morphism("bigon-sym", ctx, "sigma")
+        reflect = symmetry_morphism("bigon-sym", ctx, "iota")
         assert check_equivariance(bigon_sym, rotate).overall
         assert check_equivariance(bigon_sym, reflect).overall
         # rotation after reflection: swap the vertices, negate both edges and the 2-cell
@@ -349,9 +361,17 @@ class TestVerificationFailures:
 
 
 class TestSymmetryLookup:
-    def test_known_morphisms(self, circle, disc):
-        assert symmetry_morphism("circle2", circle.context, "sigma") == rotation_morphism(circle.context)
-        assert symmetry_morphism("disc1", disc.context, "iota") == disc_reflection_morphism(disc.context)
+    def test_known_morphisms(self, circle, disc, bigon_sym):
+        rotation = {"a": "b", "b": "a", "e": "f", "f": "e"}
+        expected = [
+            ("circle2", circle.context, "sigma", rotation),
+            ("circle2", circle.context, "iota", {"e": "-f", "f": "-e"}),
+            ("bigon-sym", bigon_sym.context, "sigma", rotation),
+            ("bigon-sym", bigon_sym.context, "iota", {"e": "-f", "f": "-e", "g": "-g"}),
+            ("disc1", disc.context, "iota", {"e": "-e", "g": "-g"}),
+        ]
+        for name, ctx, which, mapping in expected:
+            assert symmetry_morphism(name, ctx, which) == GeneratorMorphism(ctx, mapping), (name, which)
 
     def test_unknown_morphisms(self, disc):
         with pytest.raises(KeyError):
