@@ -514,6 +514,17 @@ def _add_products(out: list[Mapping[int, int]], left: _Buckets, right: _Buckets,
                     target[w] = get(w, 0) + a * b
 
 
+def _product(x: AlgebraElement, y: AlgebraElement, top: int) -> AlgebraElement:
+    """The associative product ``x y`` through weight ``top``: the kernel
+    pairs only the weights whose sum is at most ``top``.  (``x * y`` keeps
+    its own copy of these lines, without the slicing, for short products.)"""
+    context = x.context
+    out = list(context._no_terms[: top + 1])
+    _add_products(out, x._buckets, y._buckets, context._bits, 1)
+    out.extend(context._no_terms[top + 1 :])
+    return AlgebraElement(context, out, x._den * y._den)
+
+
 def _letters(x: AlgebraElement, top: int) -> list[int]:
     """The generator indices that occur in the words of ``x`` of weight at
     most ``top``, in ascending order."""
@@ -587,28 +598,27 @@ def _relabel(
     return AlgebraElement(context, out, x._den)
 
 
-def _odd_derivation(x: AlgebraElement, image: Callable[[str], AlgebraElement]) -> AlgebraElement:
+def _odd_derivation(x: AlgebraElement, image: Callable[[str], AlgebraElement], top: int) -> AlgebraElement:
     """The odd derivation that sends each generator named ``name`` to
-    ``image(name)``, applied to ``x``.
+    ``image(name)``, applied to ``x``, through weight ``top``.
 
     It acts letter by letter with the Koszul sign
     ``D(uv) = (Du) v + (-1)^{|u|} u (Dv)``, and is asked only for the
     images of the letters that occur in ``x``.
     """
     context = x.context
-    images = {letter: image(context.generators[letter].name) for letter in _letters(x, context.max_weight)}
+    images = {letter: image(context.generators[letter].name) for letter in _letters(x, top)}
     shared = math.lcm(*(d._den for d in images.values()))
     bits = context._bits
     mask = (1 << bits) - 1
-    limit = context.max_weight
     parities = context._parities
     out = context._empty_buckets()
-    for k, bucket in enumerate(x._buckets):
+    for k, bucket in enumerate(x._buckets[: top + 1]):
         if not bucket:
             continue
         # Per letter position, the letter having s letters after it: its
         # shift, the shift and mask that cut the word around it, and per
-        # letter the image terms that fit (weight m <= limit - k + 1), as
+        # letter the image terms that fit (weight m <= top - k + 1), as
         # (shift of the letters before, output bucket, image words
         # shifted up past the s letters after, numerators over `shared`).
         steps = []
@@ -617,7 +627,7 @@ def _odd_derivation(x: AlgebraElement, image: Callable[[str], AlgebraElement]) -
             plan: list[list] = [[] for _ in context.generators]
             for letter, d in images.items():
                 scale = shared // d._den
-                for m in range(1, limit - k + 2):
+                for m in range(1, top - k + 2):
                     if d._buckets[m]:
                         target = out[k - 1 + m]
                         terms = [(u << low, n * scale) for u, n in d._buckets[m].items()]

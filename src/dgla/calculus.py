@@ -13,7 +13,11 @@ Lie element is ``sum c_{w,p} ad_{w1}...ad_{wk}(p)`` over the vertices
 ``ad_direction`` is left multiplication by ``direction``, so each step
 is one product rather than a bracket.  The symmetric midpoint is
 computed that way; :func:`flow` keeps the tensor walk and is the
-independent route.  The multi-argument Baker-Campbell-Hausdorff element is computed as the
+independent route.  The coordinates of a differential ``D(y)``, its
+words that end in a vertex, come from the right Fox rule without
+expanding ``D(y)``; the midpoint walk and the 2-cell's ``D^2 = 0``
+check in :mod:`dgla.models` both read them that way.  The
+multi-argument Baker-Campbell-Hausdorff element is computed as the
 logarithm of a product of exponentials, so its output is a Lie element
 weight by weight whenever the inputs are;
 :func:`dgla.algebra.is_primitive` certifies that independently at
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
 from .algebra import (
     AlgebraContext,
@@ -40,8 +44,10 @@ from .algebra import (
     _ending_in,
     _LinearSum,
     _odd_derivation,
+    _product,
     _right_quotient,
     bracket,
+    weight_component,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -283,7 +289,7 @@ def extend_differential(model: "CellModel", x: AlgebraElement) -> AlgebraElement
             raise ModelError(f"generator {name!r} has no differential assignment")
         return image
 
-    return _odd_derivation(x, assigned)
+    return _odd_derivation(x, assigned, model.context.max_weight)
 
 
 def maurer_cartan_defect(model: "CellModel", p: AlgebraElement) -> AlgebraElement:
@@ -337,6 +343,31 @@ def flow(
     return start + _series_walk(source, lambda current: bracket(direction, current), [table])[0]
 
 
+def _ending_differential(
+    model: "CellModel", y: AlgebraElement, vertices: Collection[int], top: int
+) -> AlgebraElement:
+    # The words of D(y) that end in a vertex, through weight top, by the
+    # right Fox rule, for a homogeneous y of degree d.  Every word of y is
+    # (y / l) l for its last letter l, or a weight-1 term, so D(y) is
+    # D(y_1) for the weight-1 part y_1 of y plus the sum over the letters
+    # l of D(y / l) l + (-1)^(d - |l|) (y / l) D(l): the first product
+    # ends in a vertex exactly when l is one, the second where D(l) does.
+    context = model.context
+    degree = y.homogeneous_degree() or 0
+    differential = model.differential.__getitem__
+    out = _LinearSum(context)
+    out.add(1, _ending_in(_odd_derivation(weight_component(y, 1), differential, top), vertices))
+    for g in context.generators:
+        quotient = _right_quotient(y, g.index)
+        if not quotient:
+            continue
+        if g.index in vertices:
+            out.add(1, _odd_derivation(quotient, differential, top - 1) * context.gen(g.name))
+        image = _ending_in(differential(g.name), vertices)
+        out.add(-1 if (degree - g.degree) % 2 else 1, _product(quotient, image, top))
+    return out.element()
+
+
 def _vertex_flows(
     model: "CellModel",
     direction: AlgebraElement,
@@ -348,18 +379,11 @@ def _vertex_flows(
     # The model is a 1-complex, the direction lies in the Lie algebra of
     # the edges and the start is a degree -1 Lie element.  Coordinates
     # are the words that end in a vertex (algebra._right_normed maps
-    # them back), and D(direction) is the sum over the edges l of
-    # (direction / l) D(l) plus the weight-1 coefficient of l times D(l).
+    # them back), and those of D(direction) come from the right Fox rule.
     context = model.context
     vertices = {g.index for g in context.generators if g.degree == -1}
     initial = _ending_in(start, vertices)
-    source = _LinearSum(context)
-    source.add(-1, direction * initial)
-    for g in context.generators:
-        if g.degree == 0:
-            image = _ending_in(model.differential[g.name], vertices)
-            source.add(direction.coefficient((g.index,)), image)
-            source.add(1, _right_quotient(direction, g.index) * image)
+    source = _ending_differential(model, direction, vertices, context.max_weight) - direction * initial
     tables = [_integrator(t, context.max_weight) for t in times]
-    pushed = _series_walk(source.element(), lambda current: direction * current, tables)
+    pushed = _series_walk(source, lambda current: direction * current, tables)
     return [initial + p for p in pushed]

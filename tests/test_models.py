@@ -71,6 +71,20 @@ class TestBuilders:
         model = build_named_model("circle2", 4)
         assert verify_model(model, subject="circle2").overall
         assert len(calls) == len(model.context.generators)  # one square per generator
+        # the square of a 2-cell is decided through its basepoint and
+        # holonomy, so the full Leibniz pass never runs on Dg, also for a
+        # decoded copy; a failing cell runs it exactly once, for the witness
+        calls.clear()
+        sym = build_named_model("bigon-sym", 6)
+        assert verify_model(sym).overall
+        assert calls and sym.differential["g"] not in calls
+        e, f = sym.context.gen("e"), sym.context.gen("f")
+        broken = replace(sym, differential={**sym.differential, "g": sym.differential["g"] + bracket(e, f)})
+        _, decoded = decode_model(encode_model(sym, "bigon-sym"))
+        for copy, passes in ((decoded, True), (broken, False)):
+            calls.clear()
+            assert verify_model(copy).overall is passes
+            assert sum(x == copy.differential["g"] for x in calls) == (0 if passes else 1)
 
     def test_builder_rejects_a_model_failing_its_checks(self, monkeypatch):
         original = dgla.models.edge_differential
@@ -315,6 +329,44 @@ class TestLieCertificate:
         assert not is_primitive(broken, context.max_weight)
 
 
+class TestCellSquare:
+    @pytest.mark.parametrize("order", range(1, 11))
+    @pytest.mark.parametrize("name", ["disc1", "bigon-a", "bigon-b", "bigon-sym"])
+    def test_verdict_agrees_with_the_leibniz_square(self, name, order):
+        model = build_named_model(name, order)
+        full = extend_differential(model, model.differential["g"]).is_zero()
+        passed = {c.name: c.passed for c in verify_model(model).checks}["d_squared_zero[g]"]
+        assert dgla.models._cell_square_vanishes(model, model.context.generator("g")) is full
+        assert passed is full
+
+    @pytest.mark.parametrize(
+        "perturbation",
+        ["holonomy-weight-2", "holonomy-weight-N", "basepoint", "bare-basepoint", "non-lie", "off-shape"],
+    )
+    def test_perturbed_cell_fails_with_the_full_square(self, bigon_sym, symdata, perturbation):
+        ctx = bigon_sym.context
+        a, e, f, g = (ctx.gen(n) for n in "aefg")
+        top = f
+        for _ in range(ctx.max_weight - 1):
+            top = bracket(e, top)  # ad_e^(N-1) f, a Lie term of weight N
+        term = {
+            "holonomy-weight-2": bracket(e, f),
+            "holonomy-weight-N": top,
+            "basepoint": bracket(bracket(e, a), g),
+            # no holonomy: D_p(0) = 0, so only the flatness half can fail
+            "bare-basepoint": bracket(bracket(e, a), g) - symdata.q.in_context(ctx),
+            "non-lie": e * f,  # fails the Lie guard
+            "off-shape": bracket(bracket(g, a), e),  # fails the shape check
+        }[perturbation]
+        mutated = replace(
+            bigon_sym, differential={**bigon_sym.differential, "g": bigon_sym.differential["g"] + term}
+        )
+        assert not dgla.models._cell_square_vanishes(mutated, ctx.generator("g"))
+        failed = {c.name: c for c in verify_model(mutated).failures()}
+        square = extend_differential(mutated, mutated.differential["g"])
+        assert square and failed["d_squared_zero[g]"].witness == square
+
+
 class TestVerificationFailures:
     def test_broken_square_is_caught_with_witness(self, bigon_sym):
         ctx = bigon_sym.context
@@ -391,7 +443,9 @@ class TestModelEnvelope:
         assert dict(decoded.boundary0) == dict(model.boundary0)
         assert dict(decoded.differential) == dict(model.differential)
         assert dict(decoded.closure) == dict(model.closure)
-        assert verify_model(decoded).overall
+        report = verify_model(decoded, subject=name)
+        assert report.overall
+        assert json.dumps(report.to_json_dict()) == json.dumps(verify_model(model, subject=name).to_json_dict())
 
     def test_envelope_fields(self, bigon_sym):
         payload = json.loads(encode_model(bigon_sym, "bigon-sym"))
