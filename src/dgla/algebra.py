@@ -433,10 +433,7 @@ class AlgebraElement:
 
     def _concat(self, other: AlgebraElement) -> AlgebraElement:
         """Associative product, truncated at the context's max weight."""
-        context = self.context
-        out = list(context._no_terms)
-        _add_products(out, self._buckets, other._buckets, context._bits, 1)
-        return AlgebraElement(context, out, self._den * other._den)
+        return _product(self, other, self.context.max_weight)
 
     def in_context(self, context: AlgebraContext) -> AlgebraElement:
         """Re-express this element in another context.
@@ -516,8 +513,7 @@ def _add_products(out: list[Mapping[int, int]], left: _Buckets, right: _Buckets,
 
 def _product(x: AlgebraElement, y: AlgebraElement, top: int) -> AlgebraElement:
     """The associative product ``x y`` through weight ``top``: the kernel
-    pairs only the weights whose sum is at most ``top``.  (``x * y`` keeps
-    its own copy of these lines, without the slicing, for short products.)"""
+    pairs only the weights whose sum is at most ``top``."""
     context = x.context
     out = list(context._no_terms[: top + 1])
     _add_products(out, x._buckets, y._buckets, context._bits, 1)

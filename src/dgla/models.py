@@ -36,6 +36,7 @@ from .algebra import (
     AlgebraElement,
     Generator,
     GeneratorMorphism,
+    GradingError,
     SeriesParseError,
     _context_from_json,
     _context_json,
@@ -377,11 +378,15 @@ def _model_checks(model: CellModel) -> tuple[ModelCheck, ...]:
     ``MC(p) = Dp + 1/2 [p, p]``.
 
     The shape check: ``g`` has degree 1 and every other generator degree
-    -1 (a vertex) or 0 (an edge), ``Dg`` has degree 0, and ``h``, ``p``
+    -1 (a vertex) or 0 (an edge), every differential (``Dg`` included) is
+    homogeneous of degree one less than its generator's, and ``h``, ``p``
     and the other differentials have no letter ``g``.  Then the first
     summand has no ``g`` and every word of the second exactly one, so
     ``D(Dg)`` vanishes through weight ``N`` exactly when ``D_p(h)`` does
-    through ``N`` and ``MC(p)`` through ``N - 1``.
+    through ``N`` and ``MC(p)`` through ``N - 1``.  The degrees of the
+    images make ``D_p(h)`` and ``MC(p)`` homogeneous of degree -1 and -2,
+    which the projection below needs: an edge image of degree 0 would put
+    vertex-free words into ``D_p(h)``, which no vertex-ending word sees.
 
     The guard: ``p`` equals the right-normed bracketing of its words that
     end in a vertex (a Lie element by construction), and ``h`` and the
@@ -436,9 +441,9 @@ def _cell_square_vanishes(model: CellModel, cell: Generator) -> bool:
     others = [g for g in context.generators if g is not cell]
     if any(g.degree not in (-1, 0) for g in others):
         return False
-    dg = model.differential[cell.name]
-    if dg.homogeneous_degree() not in (0, None):
+    if not all(_of_degree(model.differential[g.name], g.degree - 1) for g in context.generators):
         return False
+    dg = model.differential[cell.name]
     images = [model.differential[g.name] for g in others]
     vertices = {g.index for g in others if g.degree == -1}
     p = -_right_quotient(dg, cell.index)
@@ -452,6 +457,14 @@ def _cell_square_vanishes(model: CellModel, cell: Generator) -> bool:
     flatness = _ending_differential(model, p, vertices, order - 1) + _product(p, ending, order - 1)
     closure = _ending_differential(model, h, vertices, order) - h * ending
     return not flatness and not closure
+
+
+def _of_degree(x: AlgebraElement, degree: int) -> bool:
+    # Whether x is homogeneous of the given degree (zero is of every degree).
+    try:
+        return x.homogeneous_degree() in (degree, None)
+    except GradingError:
+        return False
 
 
 def check_equivariance(

@@ -32,8 +32,9 @@ from dgla import (
     verify_model,
     weight_component,
 )
+from dgla.algebra import AlgebraContext
 from dgla.calculus import _vertex_flows
-from dgla.models import MODEL_NAMES
+from dgla.models import MODEL_NAMES, CellModel
 
 
 class TestOneComplex:
@@ -365,6 +366,27 @@ class TestCellSquare:
         failed = {c.name: c for c in verify_model(mutated).failures()}
         square = extend_differential(mutated, mutated.differential["g"])
         assert square and failed["d_squared_zero[g]"].witness == square
+
+    @pytest.mark.parametrize("vertices", [(), ("a",)])
+    def test_edge_image_of_degree_zero_takes_the_full_square(self, vertices):
+        # De = [f, k] has degree 0, not -1, so D(Dg) = [f, k] has no
+        # vertex-ending word; only the full square can see it
+        ctx = AlgebraContext([*((v, -1) for v in vertices), ("e", 0), ("f", 0), ("k", 0), ("g", 1)], 4)
+        zero = ctx.element({})
+        flat = {v: Fraction(-1, 2) * bracket(ctx.gen(v), ctx.gen(v)) for v in vertices}
+        differential = {**flat, "e": bracket(ctx.gen("f"), ctx.gen("k"))}
+        differential.update(f=zero, k=zero, g=ctx.gen("e"))
+        model = CellModel(
+            ctx,
+            {name: weight_component(d, 1) for name, d in differential.items()},
+            differential,
+            {name: frozenset(differential) for name in differential},
+        )
+        assert not dgla.models._cell_square_vanishes(model, ctx.generator("g"))
+        failed = {c.name: c for c in verify_model(model).failures()}
+        assert list(failed) == ["d_squared_zero[g]"]
+        square = extend_differential(model, differential["g"])
+        assert square == differential["e"] and failed["d_squared_zero[g]"].witness == square
 
 
 class TestVerificationFailures:
