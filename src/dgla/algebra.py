@@ -22,14 +22,17 @@ computes in integers: sums rescale to the lcm of the denominators,
 products multiply numerators and denominators, and the product kernels
 pair only the weight buckets that fit under the truncation.  One kernel
 repacks words for every generator relabelling, a :class:`GeneratorMorphism`
-or a move to another context, from a per-letter ``(sign, index)`` table.  This
-module is the only one that knows the format.  :class:`fractions.Fraction` values
+or a move to another context, a chunk of letters per lookup in a table of
+``(sign, packed image)`` filled as chunks occur; the JSON writer reads the
+names of a word's letters the same way.  This module is the only one that
+knows the format.  :class:`fractions.Fraction` values
 are read in only by :meth:`AlgebraContext.element` and built only by
 :meth:`AlgebraElement.terms` and :meth:`AlgebraElement.coefficient`,
 which the display code reads (JSON is written and read from the integers);
 every scalar at the API is an :class:`int` or :class:`Fraction`, and floats
 are rejected.  All types are immutable after construction and safe to share
-between threads, and the module-level operations are pure functions:
+between threads (a chunk table only gains entries, each the same whichever
+thread fills it), and the module-level operations are pure functions:
 identical inputs always produce identical canonical output.
 """
 
@@ -40,6 +43,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -130,6 +134,7 @@ class AlgebraContext:
         "_degrees",
         "_parities",
         "_bits",
+        "_chunk",
         "_no_terms",
         "_signature",
     )
@@ -159,6 +164,11 @@ class AlgebraContext:
         self._parities = tuple(g.parity for g in gens)
         # bits per letter of a packed word
         self._bits = max(1, (len(gens) - 1).bit_length())
+        # letters per lookup of the chunk tables: the largest c with n**c
+        # entries at most _CHUNK_ENTRIES, and no more than the order
+        self._chunk = 1
+        while self._chunk < max_weight and len(gens) ** (self._chunk + 1) <= _CHUNK_ENTRIES:
+            self._chunk += 1
         self._no_terms = (_NO_TERMS,) * (max_weight + 1)
         self._signature = (tuple((g.name, g.degree) for g in gens), max_weight)
 
@@ -180,9 +190,7 @@ class AlgebraContext:
         index = self.generator(name).index
         buckets = list(self._no_terms)
         buckets[1] = {self._pack((index,)): 1}
-        element = AlgebraElement(self, buckets, 1)
-        element._degree = self._degrees[index]
-        return element
+        return AlgebraElement(self, buckets, 1, self._degrees[index])
 
     def element(
         self, terms: Mapping[Sequence[str] | Word, int | Fraction]
@@ -286,9 +294,19 @@ class AlgebraElement:
     word is heavier than the context's truncation order.  Instances are
     immutable, the buckets included: elements may share a bucket, and
     every empty one is the same read-only mapping.  All arithmetic
-    returns new elements.  ``_degree`` keeps the result of
-    :meth:`homogeneous_degree` once known; :func:`bracket` sets it on
-    its result.
+    returns new elements.
+
+    ``_degree`` keeps the result of :meth:`homogeneous_degree` once
+    known.  An operation whose result degree follows from its inputs'
+    known degrees sets it on a nonzero result, so no scan is needed:
+    generators, scaling and negation, the product and :func:`bracket`,
+    sums (through ``_LinearSum``, when every summand has the same known
+    degree), :meth:`in_context` and :func:`apply_morphism`,
+    :func:`weight_component`, the right quotient by a letter, the filters
+    ``_ending_in`` and ``_terms_using``, the right-normed bracketing, and
+    the Leibniz kernel when its images shift every letter's degree alike.
+    Only elements built from terms (:meth:`AlgebraContext.element`, the
+    decoders) are scanned.
 
     Supported arithmetic: ``+``, ``-``, unary ``-``, scalar
     multiplication by :class:`int` or :class:`Fraction` on either side,
@@ -299,13 +317,16 @@ class AlgebraElement:
     __slots__ = ("context", "_den", "_buckets", "_degree")
     __hash__ = None  # term maps are dicts; value equality only
 
-    def __init__(self, context: AlgebraContext, buckets: _Buckets, den: int) -> None:
+    def __init__(
+        self, context: AlgebraContext, buckets: _Buckets, den: int, degree: int | None = None
+    ) -> None:
         # The element with coefficients buckets[k][w] / den, den > 0, one
         # mapping of packed words per weight 0..max_weight: zero numerators
         # dropped and the gcd divided out, leaving the least common
         # denominator.  It keeps the dicts it is given (so nothing may
         # mutate a stored bucket) and shares one read-only mapping among
-        # the empty ones.
+        # the empty ones.  ``degree``, when given, is the degree of every
+        # word, which the caller knows; it is kept if the element is nonzero.
         kept = tuple([
             (({w: n for w, n in bucket.items() if n} if 0 in bucket.values() else bucket) or _NO_TERMS)
             if bucket
@@ -325,6 +346,8 @@ class AlgebraElement:
         self.context = context
         self._den = den // common
         self._buckets = kept
+        if degree is not None and any(kept):
+            self._degree = degree
 
     # -- inspection ---------------------------------------------------
 
@@ -420,6 +443,7 @@ class AlgebraElement:
             self.context,
             [{w: n * factor for w, n in bucket.items()} if bucket else bucket for bucket in self._buckets],
             self._den * scalar.denominator,
+            _known_degree(self),
         )
 
     def __mul__(self, other: AlgebraElement | int | Fraction) -> AlgebraElement:
@@ -472,6 +496,15 @@ _Buckets = Sequence[Mapping[int, int]]
 # every empty bucket of every element: one read-only empty mapping
 _NO_TERMS: Mapping[int, int] = MappingProxyType({})
 
+# the most words of one length that a letter-chunk table holds
+_CHUNK_ENTRIES = 4096
+
+
+def _known_degree(x: AlgebraElement) -> int | None:
+    """The degree of ``x`` if it is known without a scan; ``None`` when it is
+    not, or when ``x`` is zero."""
+    return getattr(x, "_degree", None)
+
 
 # -- integer kernels on packed words ------------------------------------------
 
@@ -518,7 +551,8 @@ def _product(x: AlgebraElement, y: AlgebraElement, top: int) -> AlgebraElement:
     out = list(context._no_terms[: top + 1])
     _add_products(out, x._buckets, y._buckets, context._bits, 1)
     out.extend(context._no_terms[top + 1 :])
-    return AlgebraElement(context, out, x._den * y._den)
+    p, q = _known_degree(x), _known_degree(y)
+    return AlgebraElement(context, out, x._den * y._den, None if p is None or q is None else p + q)
 
 
 def _letters(x: AlgebraElement, top: int) -> list[int]:
@@ -544,7 +578,7 @@ def _terms_using(x: AlgebraElement, letters: Collection[int]) -> AlgebraElement:
     for k, bucket in enumerate(x._buckets if letters else ()):  # no letters: no terms
         shifts = range(0, bits * k, bits)
         out[k] = {w: n for w, n in bucket.items() if any(w >> shift & mask in letters for shift in shifts)}
-    return AlgebraElement(context, out, x._den)
+    return AlgebraElement(context, out, x._den, _known_degree(x))
 
 
 def _ending_in(x: AlgebraElement, letters: Collection[int]) -> AlgebraElement:
@@ -552,7 +586,7 @@ def _ending_in(x: AlgebraElement, letters: Collection[int]) -> AlgebraElement:
     context = x.context
     mask = (1 << context._bits) - 1
     out = [{w: n for w, n in bucket.items() if w & mask in letters} for bucket in x._buckets]
-    return AlgebraElement(context, out, x._den)
+    return AlgebraElement(context, out, x._den, _known_degree(x))
 
 
 def _right_quotient(x: AlgebraElement, letter: int) -> AlgebraElement:
@@ -565,7 +599,47 @@ def _right_quotient(x: AlgebraElement, letter: int) -> AlgebraElement:
     out = list(context._no_terms)
     for k in range(2, len(out)):
         out[k - 1] = {w >> bits: n for w, n in x._buckets[k].items() if w & mask == letter}
-    return AlgebraElement(context, out, x._den)
+    degree = _known_degree(x)
+    return AlgebraElement(context, out, x._den, None if degree is None else degree - context._degrees[letter])
+
+
+class _ChunkTable(dict):
+    """A letter map read a chunk of letters at a time.
+
+    It maps a packed word of 1 to ``_chunk`` letters of its context to
+    the fold of its letters' entries by ``extend``, from ``empty`` for the
+    empty word.  A kernel reads a word's leading letters as one key, and
+    each following run of ``_chunk`` letters as a key once a sentinel bit
+    is put above it.  Entries are filled on first use, each from the entry
+    of its word less the last letter, so only the chunks that occur are
+    built.
+    """
+
+    __slots__ = ("bits", "entries", "extend")
+
+    def __init__(
+        self, context: AlgebraContext, entries: Sequence[object], empty: object, extend: Callable
+    ) -> None:
+        super().__init__({1: empty})
+        self.bits = context._bits
+        self.entries = entries  # per letter index
+        self.extend = extend
+
+    def __missing__(self, word: int) -> object:
+        bits = self.bits
+        value = self[word] = self.extend(self[word >> bits], self.entries[word & ((1 << bits) - 1)])
+        return value
+
+
+@lru_cache(maxsize=64)
+def _relabel_table(
+    source: AlgebraContext, target: AlgebraContext, table: tuple[tuple[int, int] | None, ...]
+) -> _ChunkTable:
+    # the chunk table of a relabelling: (sign, packed image in target)
+    bits = target._bits
+    return _ChunkTable(
+        source, table, (1, 1), lambda acc, entry: (acc[0] * entry[0], acc[1] << bits | entry[1])
+    )
 
 
 def _relabel(
@@ -575,23 +649,30 @@ def _relabel(
     ``j`` of ``context``, where ``table[i] == (sign, j)``.
 
     Each word is repacked at the target's width with the product of its
-    letters' signs; words heavier than the target's order are dropped.
-    Every letter of a kept word must have an entry in ``table``.
+    letters' signs, a chunk of letters per lookup (:class:`_ChunkTable`);
+    words heavier than the target's order are dropped.  Every letter of a
+    kept word must have an entry in ``table``.  The map keeps degrees.
     """
-    bits, new_bits = x.context._bits, context._bits
-    mask = (1 << bits) - 1
+    images = _relabel_table(x.context, context, tuple(table))
+    chunk = x.context._chunk
+    step, new_step = x.context._bits * chunk, context._bits * chunk
+    mask, flag = (1 << step) - 1, 1 << step
     out = context._empty_buckets()
     for k, bucket in enumerate(x._buckets[: context.max_weight + 1]):
-        shifts = range(bits * (k - 1), -1, -bits)
+        if not bucket:
+            continue
+        # the leading 1..chunk letters, then whole chunks
+        top = step * ((k - 1) // chunk)
+        shifts = range(top - step, -1, -step)
         moved = out[k]
         for w, n in bucket.items():
-            packed = 1
+            sign, packed = images[w >> top]
             for shift in shifts:
-                sign, letter = table[w >> shift & mask]  # type: ignore[misc]
-                packed = packed << new_bits | letter
-                n *= sign
-            moved[packed] = n
-    return AlgebraElement(context, out, x._den)
+                s, v = images[w >> shift & mask | flag]
+                packed = ((packed - 1) << new_step) + v
+                sign *= s
+            moved[packed] = sign * n
+    return AlgebraElement(context, out, x._den, _known_degree(x))
 
 
 def _odd_derivation(x: AlgebraElement, image: Callable[[str], AlgebraElement], top: int) -> AlgebraElement:
@@ -600,10 +681,15 @@ def _odd_derivation(x: AlgebraElement, image: Callable[[str], AlgebraElement], t
 
     It acts letter by letter with the Koszul sign
     ``D(uv) = (Du) v + (-1)^{|u|} u (Dv)``, and is asked only for the
-    images of the letters that occur in ``x``.
+    images of the letters that occur in ``x``.  When every nonzero image
+    has a known degree ``s`` more than its letter's, and ``x`` a known
+    degree, the result has degree ``|x| + s``.
     """
     context = x.context
     images = {letter: image(context.generators[letter].name) for letter in _letters(x, top)}
+    known = {letter: _known_degree(d) for letter, d in images.items() if d}
+    moves = {None if d is None else d - context._degrees[letter] for letter, d in known.items()}
+    degree, move = _known_degree(x), moves.pop() if len(moves) == 1 else None
     shared = math.lcm(*(d._den for d in images.values()))
     bits = context._bits
     mask = (1 << bits) - 1
@@ -643,7 +729,8 @@ def _odd_derivation(x: AlgebraElement, image: Callable[[str], AlgebraElement], t
                             target[w] = get(w, 0) + a * b
                 if parities[letter]:
                     a = -a
-    return AlgebraElement(context, out, x._den * shared)
+    degree = None if degree is None or move is None else degree + move
+    return AlgebraElement(context, out, x._den * shared, degree)
 
 
 class _LinearSum:
@@ -653,15 +740,17 @@ class _LinearSum:
     of the denominators added so far; the numerators are rescaled only
     when that lcm grows.  :meth:`element` reduces the sum once, at the
     end, and the element takes over the sum's dicts: nothing is added
-    after it.
+    after it.  It carries a degree when every nonzero summand has the
+    same known degree.
     """
 
-    __slots__ = ("context", "den", "buckets")
+    __slots__ = ("context", "den", "buckets", "degrees")
 
     def __init__(self, context: AlgebraContext) -> None:
         self.context = context
         self.den = 1
         self.buckets = list(context._no_terms)
+        self.degrees: set[int | None] = set()  # of the nonzero summands; None when unknown
 
     def add(self, scalar: int | Fraction, x: AlgebraElement) -> None:
         """Add ``scalar * x``."""
@@ -675,6 +764,8 @@ class _LinearSum:
                     buckets[k] = {w: n * grow for w, n in total.items()}
             self.den = den
         scale = scalar.numerator * (den // term_den)
+        if scale and any(x._buckets):
+            self.degrees.add(_known_degree(x))
         for k, bucket in enumerate(x._buckets):
             if not bucket:
                 continue
@@ -687,7 +778,8 @@ class _LinearSum:
                 total[w] = get(w, 0) + scale * n
 
     def element(self) -> AlgebraElement:
-        return AlgebraElement(self.context, self.buckets, self.den)
+        degree = next(iter(self.degrees)) if len(self.degrees) == 1 else None
+        return AlgebraElement(self.context, self.buckets, self.den, degree)
 
 
 class GeneratorMorphism:
@@ -758,10 +850,7 @@ def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     out = list(context._no_terms)
     _add_products(out, x._buckets, y._buckets, context._bits, 1)
     _add_products(out, y._buckets, x._buckets, context._bits, 1 if p % 2 and q % 2 else -1)
-    result = AlgebraElement(context, out, x._den * y._den)
-    if result:
-        result._degree = p + q
-    return result
+    return AlgebraElement(context, out, x._den * y._den, p + q)
 
 
 def weight_component(x: AlgebraElement, k: int) -> AlgebraElement:
@@ -772,7 +861,7 @@ def weight_component(x: AlgebraElement, k: int) -> AlgebraElement:
         )
     out = list(x.context._no_terms)
     out[k] = x._buckets[k]
-    return AlgebraElement(x.context, out, x._den)
+    return AlgebraElement(x.context, out, x._den, _known_degree(x))
 
 
 def apply_morphism(m: GeneratorMorphism, x: AlgebraElement) -> AlgebraElement:
@@ -822,7 +911,7 @@ def _right_normed(x: AlgebraElement) -> AlgebraElement:
         if bucket:
             even, odd = _bracketing(bucket, k, context._bits, context._parities)
             out[k] = even | odd
-    return AlgebraElement(context, out, x._den)
+    return AlgebraElement(context, out, x._den, _known_degree(x))
 
 
 def is_primitive(x: AlgebraElement, wmax: int) -> bool:
@@ -881,41 +970,78 @@ def _context_json(context: AlgebraContext) -> dict:
     return {"order": context.max_weight, "generators": gens}
 
 
-def _dump_json(value: object, indent: str = "") -> str:
+def _dump_json(value: object) -> str:
     """``json.dumps(value, indent=2, ensure_ascii=False)`` for a JSON value
-    with string keys, in which an element stands for its term list."""
+    with string keys, in which an element stands for its term list: the
+    pieces are collected in one list and joined once."""
+    parts: list[str] = []
+    _write_json(value, "", parts)
+    return "".join(parts)
+
+
+def _write_json(value: object, indent: str, parts: list[str]) -> None:
+    # append the pieces of value's text at indent to parts; json.dumps
+    # writes the scalars and the empty dicts and lists
     inner = indent + "  "
     if isinstance(value, AlgebraElement):
-        items, ends = _term_texts(value, inner), "[]"
-    elif isinstance(value, dict):
-        items, ends = [f"{_dump_json(key)}: {_dump_json(v, inner)}" for key, v in value.items()], "{}"
-    elif isinstance(value, list):
-        items, ends = [_dump_json(v, inner) for v in value], "[]"
+        if value:
+            parts.append("[")
+            _write_terms(value, inner, parts)
+            parts.append(f"\n{indent}]")
+        else:
+            parts.append("[]")
+    elif isinstance(value, dict) and value:
+        for i, (key, item) in enumerate(value.items()):
+            parts.append(f"{',' if i else '{'}\n{inner}{json.dumps(key, ensure_ascii=False)}: ")
+            _write_json(item, inner, parts)
+        parts.append(f"\n{indent}}}")
+    elif isinstance(value, list) and value:
+        for i, item in enumerate(value):
+            parts.append(f"{',' if i else '['}\n{inner}")
+            _write_json(item, inner, parts)
+        parts.append(f"\n{indent}]")
     else:
-        return json.dumps(value, ensure_ascii=False)
-    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}" if items else ends
+        parts.append(json.dumps(value, ensure_ascii=False))
 
 
-def _term_texts(x: AlgebraElement, indent: str) -> list[str]:
-    """The terms of ``x`` in canonical order as :func:`_dump_json` writes them at ``indent``: one
-    template fill per term, the coefficient ``n/_den`` reduced by one gcd and the letters taken
-    from a table of the generator names, each escaped once."""
-    context = x.context
-    template = f'{{\n{indent}  "coeff": "%d/%d",\n{indent}  "word": [\n{indent}    %s\n'
-    template += f"{indent}  ]\n{indent}}}"
-    comma = f",\n{indent}    "
+@lru_cache(maxsize=64)
+def _name_table(context: AlgebraContext, comma: str) -> _ChunkTable:
+    # the chunk table of the word text: the JSON names of the letters, joined by comma
     names = [json.dumps(name, ensure_ascii=False) for name in context.names]
-    bits = context._bits
-    mask = (1 << bits) - 1
+    return _ChunkTable(context, names, "", lambda acc, name: f"{acc}{comma}{name}" if acc else name)
+
+
+def _write_terms(x: AlgebraElement, indent: str, parts: list[str]) -> None:
+    """Append the terms of a nonzero ``x`` in canonical order as :func:`_write_json` writes
+    them at ``indent``, each after a line break: one template fill per term, each distinct
+    numerator's ``"p/q"`` reduced by one gcd, and the word's names read a chunk of letters at
+    a time from :func:`_name_table`, each name escaped once."""
+    context = x.context
+    comma = f",\n{indent}    "
+    template = f'\n{indent}{{\n{indent}  "coeff": "%s",\n{indent}  "word": [\n{indent}    %s\n'
+    template += f"{indent}  ]\n{indent}}}"
+    names = _name_table(context, comma)
+    chunk = context._chunk
+    step = context._bits * chunk
+    mask, flag = (1 << step) - 1, 1 << step
     den, gcd = x._den, math.gcd
-    texts = []
+    coeffs: dict[int, str] = {}
     for k, bucket in enumerate(x._buckets):
-        shifts = range(bits * (k - 1), -1, -bits)
+        if not bucket:
+            continue
+        top = step * ((k - 1) // chunk)  # the leading 1..chunk letters, then whole chunks
+        shifts = range(top - step, -1, -step)
         for w, n in sorted(bucket.items()):
-            common = gcd(n, den)
-            word = comma.join([names[w >> shift & mask] for shift in shifts])
-            texts.append(template % (n // common, den // common, word))
-    return texts
+            coeff = coeffs.get(n)
+            if coeff is None:
+                common = gcd(n, den)
+                coeff = coeffs[n] = f"{n // common}/{den // common}"
+            word = names[w >> top]
+            for shift in shifts:
+                word += comma + names[w >> shift & mask | flag]
+            parts.append(template % (coeff, word))
+            parts.append(",")
+    parts.pop()  # no comma after the last term
 
 
 def _expect(condition: bool, message: str, path: str) -> None:

@@ -23,11 +23,13 @@ weight by weight whenever the inputs are;
 :func:`dgla.algebra.is_primitive` certifies that independently at
 every weight, by the Dynkin-Specht-Wever bracketing.
 
-Every scalar series is read off the coefficients of ``e^{sT}`` before
+Every scalar series but the logarithm's and the binomial series of
+``(1 + T)^alpha`` is read off the coefficients of ``e^{sT}`` before
 ``T`` is specialized to ``ad`` of anything: the exponential's table,
 ``(e^T - 1)/T`` and the flow integrator ``(1 - e^{-tT})/T`` are slices
 of it, and ``T/(e^T - 1)`` and ``T/(1 - e^{+-T})`` are reciprocals of
-such slices.
+such slices.  A walk over the powers of one element evaluates several
+tables at once.
 """
 
 from __future__ import annotations
@@ -177,6 +179,24 @@ def _series_walk(
 # -- exponentials, logarithms, BCH ---------------------------------------
 
 
+def _logarithm(order: int) -> list[Fraction]:
+    # log(1 + T) through T^order, from the coefficient of T
+    return [Fraction((-1) ** (k + 1), k) for k in range(1, order + 1)]
+
+
+def _binomial(alpha: Fraction, order: int) -> list[Fraction]:
+    # (1 + T)^alpha - 1 through T^order, from the coefficient of T
+    out = [Fraction(alpha)]
+    for k in range(2, order + 1):
+        out.append(out[-1] * (alpha - k + 1) / k)
+    return out
+
+
+def _power_series(z: AlgebraElement, tables: Sequence[Sequence[Fraction]]) -> list[AlgebraElement]:
+    # sum_k table[k] z^(k + 1) for every table, from one walk over the powers of z
+    return _series_walk(z, lambda power: power * z, tables)
+
+
 def exp_assoc(x: AlgebraElement) -> AlgebraElement:
     """The truncated exponential ``sum_{k>=1} x^k / k!``, unit dropped.
 
@@ -188,14 +208,12 @@ def exp_assoc(x: AlgebraElement) -> AlgebraElement:
     degree = x.homogeneous_degree()
     if degree is not None and degree % 2:
         raise GradingError(f"exponential of an odd element (degree {degree}) is undefined")
-    table = _exponential(1, x.context.max_weight)[1:]
-    return _series_walk(x, lambda power: power * x, [table])[0]
+    return _power_series(x, [_exponential(1, x.context.max_weight)[1:]])[0]
 
 
 def log_assoc(z: AlgebraElement) -> AlgebraElement:
     """The truncated logarithm of ``1 + z``; inverse of :func:`exp_assoc`."""
-    table = [Fraction((-1) ** (k + 1), k) for k in range(1, z.context.max_weight + 1)]
-    return _series_walk(z, lambda power: power * z, [table])[0]
+    return _power_series(z, [_logarithm(z.context.max_weight)])[0]
 
 
 def bch(xs: Sequence[AlgebraElement]) -> AlgebraElement:
@@ -282,14 +300,15 @@ def extend_differential(model: "CellModel", x: AlgebraElement) -> AlgebraElement
     if x.context != model.context:
         raise ModelError("element does not belong to the model's context")
     x.homogeneous_degree()  # raises on mixed input
+    return _odd_derivation(x, lambda name: _assigned(model, name), model.context.max_weight)
 
-    def assigned(name: str) -> AlgebraElement:
-        image = model.differential.get(name)
-        if image is None:
-            raise ModelError(f"generator {name!r} has no differential assignment")
-        return image
 
-    return _odd_derivation(x, assigned, model.context.max_weight)
+def _assigned(model: "CellModel", name: str) -> AlgebraElement:
+    # the differential the model assigns to the generator name
+    image = model.differential.get(name)
+    if image is None:
+        raise ModelError(f"generator {name!r} has no differential assignment")
+    return image
 
 
 def maurer_cartan_defect(model: "CellModel", p: AlgebraElement) -> AlgebraElement:

@@ -1,10 +1,12 @@
 """The integer product, bracket, Leibniz and series kernels against the
 per-term ``Fraction`` oracles, on elements whose coefficients mix
-denominators across weights, at truncation orders 3 to 6 and in
-contexts of 1 to 9 generators (1 to 4 bits per letter of a packed
+denominators across weights, at truncation orders 3 to 6 (and 8) and in
+contexts of 1 to 17 generators (1 to 5 bits per letter of a packed
 word); the Lie-membership test against the unshuffle oracle; the JSON
-writer against ``json.dumps`` of per-term dicts; and the reduced stored
-form of the result of every operation."""
+writer against ``json.dumps`` of per-term dicts; the relabelling and
+word-text kernels, which read a chunk of letters per lookup, against
+per-term oracles at every weight; and the reduced stored form, and the
+carried degree, of the result of every operation."""
 
 from fractions import Fraction
 from math import gcd
@@ -15,7 +17,9 @@ from hypothesis import strategies as st
 
 from dgla import (
     AlgebraContext,
+    AlgebraElement,
     GeneratorMorphism,
+    GradingError,
     apply_morphism,
     apply_operator_series,
     bracket,
@@ -31,7 +35,7 @@ from dgla import (
     log_assoc,
     weight_component,
 )
-from dgla.algebra import _terms_to_json
+from dgla.algebra import _ending_in, _right_normed, _right_quotient, _terms_to_json, _terms_using
 from dgla.models import MODEL_NAMES
 from oracles import (
     dumps_encode,
@@ -48,18 +52,26 @@ from oracles import (
 )
 
 ORDERS = (3, 4, 5, 6)
-# a context takes the first n letters; the counts give 1, 1, 2, 2, 3, 3
-# and 4 bits per letter (the bit length of the largest index, at least 1)
+# a context takes the first n letters; the counts give 1, 1, 2, 2, 3, 3,
+# 4 and 5 bits per letter (the bit length of the largest index, at least
+# 1).  The relabelling and word-text tables read c letters per lookup, the
+# most with n**c <= 4096 and at most the order: 5, 4, 3 and 2 for 5, 8, 9
+# and 17 letters, the order for fewer.
+# Past the ninth letter no degree is -1, 0 or 1, so that powers of a drawn
+# element stay small.
 LETTERS = [("e", 0), ("a", -1), ("g", 1), ("f", 0), ("b", -1), ("h", 0), ("c", -1), ("k", 2), ("m", 0)]
-LETTER_COUNTS = (1, 2, 3, 4, 5, 8, 9)
+LETTERS += [("n", 2), ("p", -2), ("r", 3), ("s", -3), ("t", 2), ("u", -2), ("w", 4), ("y", -4)]
+LETTER_COUNTS = (1, 2, 3, 4, 5, 8, 9, 17)
 CONTEXTS = {
     (n, order): AlgebraContext(LETTERS[:n], max_weight=order)
     for n in LETTER_COUNTS
     for order in ORDERS
 }
+# words of two or more whole chunks after the leading letters
+CONTEXTS.update({(n, 8): AlgebraContext(LETTERS[:n], max_weight=8) for n in (9, 17)})
 contexts = st.sampled_from(sorted(CONTEXTS)).map(CONTEXTS.__getitem__)
 # the same contexts with names that JSON escapes or that are not ASCII
-ESCAPED_NAMES = ("é", 'a"b', "x\\y", "∂", "\t", "h", "c", "k", "m")
+ESCAPED_NAMES = ("é", 'a"b', "x\\y", "∂", "\t", "h", "c", "k", "m", "n", "ρ", "r", "/", "t", "ü", "\u2028", "y")
 ESCAPED_CONTEXTS = {
     (n, order): AlgebraContext([(name, d) for name, (_, d) in zip(ESCAPED_NAMES, LETTERS[:n])], order)
     for n, order in CONTEXTS
@@ -88,6 +100,8 @@ def assert_canonical(x):
     assert words == sorted(words, key=lambda w: (len(w), w))
     assert x == x.context.element(dict(terms))
     assert decode(encode(x)) == x
+    if hasattr(x, "_degree"):  # a carried degree is the one a scan of a fresh copy finds
+        assert x._degree == AlgebraElement(x.context, x._buckets, x._den).homogeneous_degree()
 
 
 def signed_shuffle(context):
@@ -306,6 +320,56 @@ class TestFlow:
 
 
 
+class TestChunkKernels:
+    """The relabelling and word-text kernels read a word as its leading 1
+    to c letters and then whole chunks of c; words of every weight through
+    every letter, and drawn elements, against the per-term oracles."""
+
+    @staticmethod
+    def every_weight(ctx):
+        # per weight, a word from each letter running up through the letters
+        # and one running down, with coefficients that do not repeat
+        n, terms = len(ctx.generators), {}
+        for k in range(1, ctx.max_weight + 1):
+            for first in range(n):
+                terms[tuple((first + i) % n for i in range(k))] = Fraction(first + 1, k)
+                terms[tuple((first - i) % n for i in range(k))] = Fraction(-k, first + 2)
+        return ctx.element(terms)
+
+    @staticmethod
+    def assert_relabels(x):
+        ctx, order = x.context, x.context.max_weight
+        shuffle = signed_shuffle(ctx)
+        assert apply_morphism(GeneratorMorphism(ctx, shuffle), x) == naive_morphism(shuffle, x)
+        letters = LETTERS[: len(ctx.generators)]
+        # five bits a letter, the order kept; reversed, a weight lower (the
+        # top words dropped); and the same letters two weights higher
+        targets = (
+            AlgebraContext(LETTERS, order),
+            AlgebraContext(LETTERS[::-1], order - 1),
+            AlgebraContext(letters, order + 2),
+        )
+        for target in targets:
+            moved = x.in_context(target)
+            assert moved == naive_in_context(x, target)
+            assert moved.in_context(ctx) == naive_in_context(moved, ctx)
+
+    @pytest.mark.parametrize("key", sorted(CONTEXTS))
+    def test_every_weight_against_the_oracles(self, key):
+        self.assert_relabels(self.every_weight(CONTEXTS[key]))
+        for ctx in (CONTEXTS[key], ESCAPED_CONTEXTS[key]):
+            x = self.every_weight(ctx)
+            assert _terms_to_json(x) == dumps_terms(x)
+            assert encode(x) == dumps_encode(x)
+
+    @KERNEL_SETTINGS
+    @given(contexts, st.integers(-1, 1), st.data())
+    def test_drawn_elements_against_the_oracles(self, ctx, degree, data):
+        x = data.draw(graded_elements(ctx, degree))
+        self.assert_relabels(x)
+        assert _terms_to_json(x) == dumps_terms(x)
+
+
 class TestCanonicalForm:
     @KERNEL_SETTINGS
     @given(contexts, st.integers(-1, 1), st.data())
@@ -338,6 +402,10 @@ class TestCanonicalForm:
             apply_operator_series(coeffs, direction, x),
         ]
         results += [weight_component(x, k) for k in range(1, order + 1)]
+        # the internal filters, quotients and bracketing carry degrees too
+        odd = {g.index for g in ctx.generators if g.parity}
+        results += [_right_quotient(x, g.index) for g in ctx.generators]
+        results += [_ending_in(x, odd), _terms_using(x, odd), _right_normed(x)]
         if len(ctx.generators) <= 5:  # letters of the bigon models
             model = build_named_model("bigon-a", order)
             results.append(extend_differential(model, x.in_context(model.context)))
@@ -350,6 +418,18 @@ class TestCanonicalForm:
             results.append(moved)
         for result in results:
             assert_canonical(result)
+
+    def test_a_sum_of_two_degrees_carries_none(self):
+        # each summand carries its degree, the sum none: a scan finds both
+        ctx = CONTEXTS[(3, 4)]
+        e, a = ctx.gen("e"), ctx.gen("a")
+        mixed = e + a
+        assert (e.homogeneous_degree(), a.homogeneous_degree()) == (0, -1)
+        assert not hasattr(mixed, "_degree")
+        with pytest.raises(GradingError):
+            mixed.homogeneous_degree()
+        with pytest.raises(GradingError):
+            bracket(mixed, e)
 
     @KERNEL_SETTINGS
     @given(contexts, st.integers(-1, 1), st.data())

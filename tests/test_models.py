@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 import dgla.models
 from dgla import (
     GeneratorMorphism,
+    ModelCheck,
+    ModelError,
     OneComplex,
     SeriesParseError,
+    VerificationReport,
     apply_morphism,
     bch,
     bracket,
@@ -153,6 +156,30 @@ class TestBasedBigonSymmetry:
             )
             assert image_of_diff == diff_of_image, g.name
 
+    def test_rotation_witness_is_the_leibniz_difference(self):
+        # D of a generator's image is read from the morphism's signed table;
+        # the report must be the one the subtraction route gives, with the
+        # Leibniz rule applied to each image
+        model = build_named_model("bigon-a", 5)
+        rotate = symmetry_morphism("bigon-a", model.context, "sigma")
+        checks = []
+        for g in model.context.generators:
+            image = extend_differential(model, apply_morphism(rotate, model.context.gen(g.name)))
+            difference = apply_morphism(rotate, model.differential[g.name]) - image
+            checks.append(ModelCheck(f"commutes_with_differential[{g.name}]", not difference, difference or None))
+        expected = VerificationReport("bigon-a:sigma", 5, tuple(checks))
+        report = check_equivariance(model, rotate, subject="bigon-a:sigma")
+        assert not report.overall
+        assert json.dumps(report.to_json_dict()) == json.dumps(expected.to_json_dict())
+
+    @pytest.mark.parametrize("missing", ["b", "g"])
+    def test_missing_assignment_raises_model_error(self, missing):
+        # b is the image of a under the rotation, g its own image
+        model = build_named_model("bigon-a", 4)
+        partial = replace(model, differential={g: d for g, d in model.differential.items() if g != missing})
+        with pytest.raises(ModelError, match=f"'{missing}'"):
+            check_equivariance(partial, symmetry_morphism("bigon-a", model.context, "sigma"))
+
 
 class TestSymmetricData:
     def test_midpoint_direction_symmetry(self, circle, symdata):
@@ -197,6 +224,14 @@ class TestSymmetricData:
         ctx = data.q.context
         half_v = Fraction(1, 2) * data.v
         assert data.q == bch([-half_v, ctx.gen("e"), ctx.gen("f"), half_v])
+
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_direction_bch_form(self, order):
+        # v comes from the loop's own walk over the powers of e^e e^f - 1;
+        # the nested bch is the independent route
+        data = compute_symmetric_data(order)
+        e, f = data.v.context.gen("e"), data.v.context.gen("f")
+        assert data.v == bch([Fraction(-1, 2) * bch([e, f]), e])
 
     def test_unit_time_check_rejects_a_missed_vertex(self, monkeypatch):
         # the one runtime cross-check: the unit-time coordinates must be b's
