@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, Callable, Collection, Sequence
 from .algebra import (
     AlgebraContext,
     AlgebraElement,
+    ContextMismatchError,
     GradingError,
     _as_fraction,
     _ending_in,
@@ -145,7 +146,7 @@ def apply_operator_series(
         raise TypeError("operator series coefficients must be a sequence indexed by power")
     table = [_as_fraction(c) for c in coeffs]
     if direction.context != target.context:
-        raise GradingError("direction and target must share a context")
+        raise ContextMismatchError("direction and target must share a context")
     ddeg = direction.homogeneous_degree()
     if ddeg not in (0, None):
         raise GradingError(f"operator direction must have degree 0, got {ddeg}")
@@ -359,7 +360,7 @@ def flow(
     source = bracket(start, direction)
     if degree in (-1, None):
         source = source + extend_differential(model, direction)
-    return start + _series_walk(source, lambda current: bracket(direction, current), [table])[0]
+    return start + apply_operator_series(table, direction, source)
 
 
 def _ending_differential(

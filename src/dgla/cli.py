@@ -71,10 +71,9 @@ def _ascii_integer(text: str) -> int:
     raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
 
 
-def _validate_order(order: int) -> int:
+def _validate_order(order: int) -> None:
     if not 1 <= order <= MAX_ORDER:
         raise UsageError(f"--order must lie in 1..{MAX_ORDER}, got {order}")
-    return order
 
 
 # -- bch expression language -------------------------------------------
@@ -91,8 +90,11 @@ def _integer(digits: str, offset: int) -> int:
 
 
 class _ExprParser:
-    """Parses rational multiples and negations of generators and of
-    nested ``bch(...)`` terms, e.g. ``-1/2*bch(e, f)``."""
+    """Parses one ``bch`` expression, e.g. ``-1/2*bch(e, f)``: a signed
+    rational multiple of a generator or of a nested ``bch(...)`` term,
+
+        expr := ("+"|"-")* [int ["/" int] "*"] (name | "bch" "(" expr ("," expr)* ")")
+    """
 
     def __init__(self, context: AlgebraContext, text: str) -> None:
         self.context = context
@@ -109,94 +111,64 @@ class _ExprParser:
             self.tokens.append((kind, match.group(kind), match.start(kind)))
             pos = match.end()
         self.cursor = 0
-        self.depth = 0
 
-    def _peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.cursor] if self.cursor < len(self.tokens) else None
-
-    def _next(self) -> tuple[str, str, int]:
-        token = self._peek()
-        if token is None:
+    def _take(self, symbols: str = "") -> tuple[str, str, int] | None:
+        # the next token, consumed; with symbols, only a symbol token among
+        # them is consumed and any other token gives None
+        if self.cursor == len(self.tokens):
             raise UsageError(f"unexpected end of expression: {self.text!r}")
+        token = self.tokens[self.cursor]
+        if symbols and (token[0] != "sym" or token[1] not in symbols):
+            return None
         self.cursor += 1
         return token
 
-    def _expect_symbol(self, symbol: str) -> None:
-        kind, value, offset = self._next()
-        if kind != "sym" or value != symbol:
-            raise UsageError(f"expected {symbol!r} at offset {offset} in {self.text!r}")
+    def _expect(self, symbol: str) -> None:
+        if self._take(symbol) is None:
+            raise UsageError(f"expected {symbol!r} at offset {self.tokens[self.cursor][2]} in {self.text!r}")
 
     def parse(self) -> AlgebraElement:
         element = self._expr()
-        leftover = self._peek()
-        if leftover is not None:
+        if self.cursor < len(self.tokens):
             raise UsageError(
-                f"trailing input at offset {leftover[2]} in {self.text!r}"
+                f"trailing input at offset {self.tokens[self.cursor][2]} in {self.text!r}"
             )
         return element
 
-    def _expr(self) -> AlgebraElement:
-        sign = 1
-        while True:
-            token = self._peek()
-            if token and token[0] == "sym" and token[1] in "+-":
-                self._next()
-                if token[1] == "-":
-                    sign = -sign
-            else:
-                break
-        element = self._value()
-        return element if sign > 0 else -element
-
-    def _value(self) -> AlgebraElement:
-        token = self._peek()
-        if token is None:
-            raise UsageError(f"unexpected end of expression: {self.text!r}")
-        if token[0] == "int":
-            scale = self._rational()
-            self._expect_symbol("*")
-            return scale * self._atom()
-        return self._atom()
-
-    def _rational(self) -> Fraction:
-        _, value, offset = self._next()  # an integer token, as _value checked
-        numerator = _integer(value, offset)
-        token = self._peek()
-        if token and token[0] == "sym" and token[1] == "/":
-            self._next()
-            kind, den, offset = self._next()
-            denominator = _integer(den, offset) if kind == "int" else 0
-            if not denominator:
-                raise UsageError(f"bad denominator at offset {offset} in {self.text!r}")
-            return Fraction(numerator, denominator)
-        return Fraction(numerator)
-
-    def _atom(self) -> AlgebraElement:
-        kind, value, offset = self._next()
+    def _expr(self, depth: int = 0) -> AlgebraElement:
+        # depth counts the bch(...) terms that enclose this expression
+        scale = Fraction(1)
+        while token := self._take("+-"):
+            if token[1] == "-":
+                scale = -scale
+        kind, value, offset = self._take()
+        if kind == "int":
+            scale *= _integer(value, offset)
+            if self._take("/"):
+                kind, value, offset = self._take()
+                denominator = _integer(value, offset) if kind == "int" else 0
+                if not denominator:
+                    raise UsageError(f"bad denominator at offset {offset} in {self.text!r}")
+                scale /= denominator
+            self._expect("*")
+            kind, value, offset = self._take()
         if kind != "name":
             raise UsageError(f"expected a generator or bch(...) at offset {offset} in {self.text!r}")
-        if value == "bch":
-            if self.depth == MAX_BCH_NESTING:
-                raise UsageError(
-                    f"bch(...) nested deeper than {MAX_BCH_NESTING} levels at offset {offset}"
-                )
-            self.depth += 1
-            self._expect_symbol("(")
-            arguments = [self._expr()]
-            while True:
-                token = self._peek()
-                if token and token[0] == "sym" and token[1] == ",":
-                    self._next()
-                    arguments.append(self._expr())
-                else:
-                    break
-            self._expect_symbol(")")
-            self.depth -= 1
-            return bch(arguments)
-        try:
-            return self.context.gen(value)
-        except KeyError:
-            raise UsageError(f"unknown generator {value!r} at offset {offset}")
+        if value != "bch":
+            try:
+                return scale * self.context.gen(value)
+            except KeyError:
+                raise UsageError(f"unknown generator {value!r} at offset {offset}")
+        if depth == MAX_BCH_NESTING:
+            raise UsageError(
+                f"bch(...) nested deeper than {MAX_BCH_NESTING} levels at offset {offset}"
+            )
+        self._expect("(")
+        arguments = [self._expr(depth + 1)]
+        while self._take(","):
+            arguments.append(self._expr(depth + 1))
+        self._expect(")")
+        return scale * bch(arguments)
 
 
 def _parse_generator_list(raw: str, order: int) -> AlgebraContext:
@@ -324,8 +296,7 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
 
 
 def _cmd_bch(args: argparse.Namespace) -> int:
-    order = _validate_order(args.order)
-    context = _parse_generator_list(args.gens, order)
+    context = _parse_generator_list(args.gens, args.order)
     try:
         elements = [_ExprParser(context, text).parse() for text in args.exprs]
         result = bch(elements)
@@ -336,8 +307,7 @@ def _cmd_bch(args: argparse.Namespace) -> int:
 
 
 def _cmd_model(args: argparse.Namespace) -> int:
-    order = _validate_order(args.order)
-    model = build_named_model(args.name, order)
+    model = build_named_model(args.name, args.order)
     _emit(encode_model(model, args.name), args.output)
     return 0
 
@@ -360,15 +330,14 @@ def _expand_element(label: str, model_name: str, order: int) -> AlgebraElement:
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    order = _validate_order(args.order)
     weight = args.weight
     if args.brackets is not None:
         if args.brackets < 0:
             raise UsageError(f"--brackets must be nonnegative, got {args.brackets}")
         weight = args.brackets + 1
-    if weight is not None and not 1 <= weight <= order:
-        raise UsageError(f"--weight must lie in 1..{order}, got {weight}")
-    element = _expand_element(args.label, args.model, order)
+    if weight is not None and not 1 <= weight <= args.order:
+        raise UsageError(f"--weight must lie in 1..{args.order}, got {weight}")
+    element = _expand_element(args.label, args.model, args.order)
     if weight is not None:
         element = weight_component(element, weight)
     _emit(_render(element, args.label, args.format), args.output)
@@ -378,8 +347,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     import json
 
-    order = _validate_order(args.order)
-    model = build_named_model(args.name, order)
+    model = build_named_model(args.name, args.order)
     if args.morphism is None:
         report = verify_model(model, subject=args.name)
     else:
@@ -407,6 +375,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if "order" in args:
+            _validate_order(args.order)
         return _HANDLERS[args.command](args)
     except (UsageError, SeriesParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

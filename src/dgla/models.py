@@ -364,15 +364,12 @@ def verify_model(model: CellModel, subject: str = "model") -> VerificationReport
     recomputation.
 
     The square of a 2-cell ``g`` with ``Dg = h - [p, g]`` (basepoint
-    ``p``, holonomy ``h``) is decided without expanding ``D(Dg)``: by the
-    identity ``D(Dg) = D_p(h) - [MC(p), g]`` it vanishes exactly when
-    ``h`` is closed under the differential twisted by ``p`` and ``p`` is
-    flat, one weight lower, and both are decided on their words that end
-    in a vertex (Lazard elimination and Poincare-Birkhoff-Witt; see
-    Reutenauer, *Free Lie Algebras*, 1993).  That route is taken only
-    when the cell has that shape and its inputs pass a Lie-membership
-    guard; otherwise, or when it cannot prove the square zero, the full
-    Leibniz ``D(Dg)`` gives the verdict and is the witness of a failure.
+    ``p``, holonomy ``h``) is decided without expanding ``D(Dg)``, from
+    the words that end in a vertex of ``D_p(h)`` and ``MC(p)``, when the
+    cell has that shape and passes a Lie-membership guard.  Otherwise, or
+    when that route cannot prove the square zero, the full Leibniz
+    ``D(Dg)`` gives the verdict and the witness; :func:`_model_checks`
+    gives the argument.
     """
     return VerificationReport(subject, model.order, model._checks)
 

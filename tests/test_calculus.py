@@ -7,6 +7,7 @@ from oracles import bernoulli_recurrence, iterative_flow, naive_operator_series
 
 from dgla import (
     AlgebraContext,
+    ContextMismatchError,
     FlatnessError,
     GradingError,
     ModelError,
@@ -180,6 +181,13 @@ class TestOperatorSeries:
         ctx = AlgebraContext([("a", -1), ("g", 1)], 6)
         with pytest.raises(GradingError):
             apply_operator_series([0, 1], ctx.gen("g"), ctx.gen("a"))
+
+    def test_context_mismatch_rejected(self):
+        # the error every other operation on elements of two contexts raises
+        one = AlgebraContext([("a", -1), ("e", 0)], 4)
+        other = AlgebraContext([("a", -1), ("e", 0)], 5)
+        with pytest.raises(ContextMismatchError, match="must share a context"):
+            apply_operator_series([0, 1], one.gen("e"), other.gen("a"))
 
     @pytest.mark.parametrize(
         "tables, steps",

@@ -318,6 +318,119 @@ class TestBchCommand:
         assert result.stderr.count("\n") == 1
 
 
+EMPTY_SHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+DEEP = "bch(" * MAX_BCH_NESTING
+LONG = "1" * 5000  # past the interpreter's 4300-digit limit on int() conversion
+
+# (--gens, expressions, exit code, stderr, stdout SHA-256) of
+# ``bch --gens GENS --order 4 -- EXPR...``: every raise site of the
+# expression parser, with its exact message and offsets, and the accepted
+# spellings of signs, scalars and whitespace
+EXPRESSION_DIAGNOSTICS = [
+    # bad character
+    ("x:0", ["x$"], 2, "bad character in expression at offset 1: '$'", EMPTY_SHA),
+    ("x:0", ["2*x;"], 2, "bad character in expression at offset 3: ';'", EMPTY_SHA),
+    ("x:0", ["bch(x) # c"], 2, "bad character in expression at offset 6: ' # c'", EMPTY_SHA),
+    # unexpected end after a sign, "/", "*", inside "bch(", or of no tokens
+    ("x:0", ["-"], 2, "unexpected end of expression: '-'", EMPTY_SHA),
+    ("x:0", ["+-"], 2, "unexpected end of expression: '+-'", EMPTY_SHA),
+    ("x:0", ["1/"], 2, "unexpected end of expression: '1/'", EMPTY_SHA),
+    ("x:0", ["2*"], 2, "unexpected end of expression: '2*'", EMPTY_SHA),
+    ("x:0", ["1/2*"], 2, "unexpected end of expression: '1/2*'", EMPTY_SHA),
+    ("x:0", ["bch("], 2, "unexpected end of expression: 'bch('", EMPTY_SHA),
+    ("x:0", ["bch(x,"], 2, "unexpected end of expression: 'bch(x,'", EMPTY_SHA),
+    ("x:0", ["bch(x"], 2, "unexpected end of expression: 'bch(x'", EMPTY_SHA),
+    ("x:0", ["bch"], 2, "unexpected end of expression: 'bch'", EMPTY_SHA),
+    ("x:0", [""], 2, "unexpected end of expression: ''", EMPTY_SHA),
+    ("x:0", ["   "], 2, "unexpected end of expression: '   '", EMPTY_SHA),
+    # a missing "*", "(", "," or ")"
+    ("x:0", ["2x"], 2, "expected '*' at offset 1 in '2x'", EMPTY_SHA),
+    ("x:0", ["1/2 x"], 2, "expected '*' at offset 4 in '1/2 x'", EMPTY_SHA),
+    ("x:0", ["1/2/3*x"], 2, "expected '*' at offset 3 in '1/2/3*x'", EMPTY_SHA),
+    ("x:0", ["bch x"], 2, "expected '(' at offset 4 in 'bch x'", EMPTY_SHA),
+    ("x:0,y:0", ["bch(x y)"], 2, "expected ')' at offset 6 in 'bch(x y)'", EMPTY_SHA),
+    ("x:0", ["bch(x("], 2, "expected ')' at offset 5 in 'bch(x('", EMPTY_SHA),
+    ("x:0", ["bch(x,)"], 2, "expected a generator or bch(...) at offset 6 in 'bch(x,)'", EMPTY_SHA),
+    # trailing input
+    ("x:0,y:0", ["x y"], 2, "trailing input at offset 2 in 'x y'", EMPTY_SHA),
+    ("x:0,y:0", ["x+y"], 2, "trailing input at offset 1 in 'x+y'", EMPTY_SHA),
+    ("x:0", ["x)"], 2, "trailing input at offset 1 in 'x)'", EMPTY_SHA),
+    ("x:0", ["bch(x))"], 2, "trailing input at offset 6 in 'bch(x))'", EMPTY_SHA),
+    ("x:0", ["x*2"], 2, "trailing input at offset 1 in 'x*2'", EMPTY_SHA),
+    # zero and non-integer denominators
+    ("x:0", ["1/0*x"], 2, "bad denominator at offset 2 in '1/0*x'", EMPTY_SHA),
+    ("x:0", ["1/00*x"], 2, "bad denominator at offset 2 in '1/00*x'", EMPTY_SHA),
+    ("x:0", ["1/x*x"], 2, "bad denominator at offset 2 in '1/x*x'", EMPTY_SHA),
+    ("x:0", ["1/-2*x"], 2, "bad denominator at offset 2 in '1/-2*x'", EMPTY_SHA),
+    ("x:0", ["1/(2)*x"], 2, "bad denominator at offset 2 in '1/(2)*x'", EMPTY_SHA),
+    # unknown generator
+    ("x:0", ["z"], 2, "unknown generator 'z' at offset 0", EMPTY_SHA),
+    ("x:0", ["x", "bch(x, z)"], 2, "unknown generator 'z' at offset 7", EMPTY_SHA),
+    ("x:0", ["X"], 2, "unknown generator 'X' at offset 0", EMPTY_SHA),
+    ("x:0", ["b ch(x)"], 2, "unknown generator 'b' at offset 0", EMPTY_SHA),
+    # a scalar alone
+    ("x:0", ["3/2"], 2, "unexpected end of expression: '3/2'", EMPTY_SHA),
+    ("x:0", ["3"], 2, "unexpected end of expression: '3'", EMPTY_SHA),
+    ("x:0", ["-3*"], 2, "unexpected end of expression: '-3*'", EMPTY_SHA),
+    # no generator or bch(...) where one must stand
+    ("x:0", ["2*3*x"], 2, "expected a generator or bch(...) at offset 2 in '2*3*x'", EMPTY_SHA),
+    ("x:0", ["bch()"], 2, "expected a generator or bch(...) at offset 4 in 'bch()'", EMPTY_SHA),
+    ("x:0", ["bch(,x)"], 2, "expected a generator or bch(...) at offset 4 in 'bch(,x)'", EMPTY_SHA),
+    ("x:0", ["-*x"], 2, "expected a generator or bch(...) at offset 1 in '-*x'", EMPTY_SHA),
+    ("x:0", ["2*-x"], 2, "expected a generator or bch(...) at offset 2 in '2*-x'", EMPTY_SHA),
+    # signs
+    ("x:0", ["--x"], 0, "", "206dc06aef93ce9db5719d4050f875c1e6ff8b6cc4393124591e6ae4969895d7"),
+    ("x:0,y:0", ["+-+x", "y"], 0, "", "96ba95e498729e0d747efb0854223d402276c8c8283187667e0c5662345ee20b"),
+    ("x:0,y:0", ["-+-+-bch(-x, --y)"], 0, "", "c8d430151f6e7560aa2575296f6328fb4b1883f41b755d4287578c218c1725b3"),
+    # whitespace and scalar variants
+    ("x:0,y:0", [" x ", "\ty\n"], 0, "", "123ae3e5107c87b56429799e6624000af2ec5a170fb868c79d58582deba0d145"),
+    ("x:0,y:0", [" - 1 / 2 * bch ( x , y ) ", "x"], 0, "",
+     "0e5725be124e47e80984ab03fe75203dc14958c0e7c610c158b34515c8350918"),
+    ("x:0,y:0", ["-1/2*bch(x,y)", "x"], 0, "", "0e5725be124e47e80984ab03fe75203dc14958c0e7c610c158b34515c8350918"),
+    ("x:0,y:0", ["3/6*bch(bch(x),y,x)"], 0, "", "778e98cb0fffa82545b80313fdd9e1783f25db86dd54cb26af07dc776f47033a"),
+    ("x:0,y:0", ["0*x", "y"], 0, "", "ec7ad457c478bfd2f6d11bfdffc18cf5bcd8eb28eef4118ef562a5a2e1709673"),
+    ("x:0", ["bch (x)"], 0, "", "206dc06aef93ce9db5719d4050f875c1e6ff8b6cc4393124591e6ae4969895d7"),
+    # the nesting cap
+    ("x:0", [DEEP + "x" + ")" * MAX_BCH_NESTING], 0, "",
+     "206dc06aef93ce9db5719d4050f875c1e6ff8b6cc4393124591e6ae4969895d7"),
+    ("x:0", ["bch(" + DEEP + "x" + ")" * (MAX_BCH_NESTING + 1)], 2,
+     "bch(...) nested deeper than 64 levels at offset 256", EMPTY_SHA),
+    ("x:0,y:0", ["bch(x, " + DEEP + "y" + ")" * (MAX_BCH_NESTING + 1)], 2,
+     "bch(...) nested deeper than 64 levels at offset 259", EMPTY_SHA),
+    # overlong numerator and denominator
+    ("x:0", [LONG + "*x"], 2, "integer at offset 0 has too many digits", EMPTY_SHA),
+    ("x:0", ["1/" + LONG + "*x"], 2, "integer at offset 2 has too many digits", EMPTY_SHA),
+    ("x:0", ["x", "-" + LONG + "/2*x"], 2, "integer at offset 1 has too many digits", EMPTY_SHA),
+    # degree errors of the parsed elements
+    ("a:-1,e:0", ["a"], 2, "bch arguments must have degree 0, got -1", EMPTY_SHA),
+    ("a:-1,e:0", ["e", "bch(e, a)"], 2, "bch arguments must have degree 0, got -1", EMPTY_SHA),
+]
+
+
+@pytest.mark.parametrize("gens, exprs, code, message, digest", EXPRESSION_DIAGNOSTICS)
+def test_expression_diagnostics(capsys, gens, exprs, code, message, digest):
+    got, out, err = run_cli(capsys, "bch", "--gens", gens, "--order", "4", "--", *exprs)
+    assert (got, err) == (code, f"error: {message}\n" if message else "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, got",
+    [
+        (["bch", "--gens", "x", "--order", "11", "--", "bch("], 11),
+        (["bch", "--gens", "x:0", "--order", "0", "z"], 0),
+        (["expand", "Dg", "--model", "circle2", "--order", "0"], 0),
+        (["expand", "q", "--order", "11", "--weight", "12"], 11),
+        (["expand", "x", "--order", "-3", "--brackets", "-1"], -3),
+        (["model", "point", "--order", "-1"], -1),
+        (["verify", "point", "--order", "11", "--morphism", "sigma"], 11),
+        (["verify", "point", "--order", "99999999999999999999"], 99999999999999999999),
+    ],
+)
+def test_order_is_checked_before_anything_else(capsys, argv, got):
+    assert run_cli(capsys, *argv) == (2, "", f"error: --order must lie in 1..10, got {got}\n")
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")
