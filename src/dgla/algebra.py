@@ -49,6 +49,9 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 Word = tuple[int, ...]
 
+# the truncation order every builder and the CLI use when none is given
+DEFAULT_ORDER = 6
+
 __all__ = [
     "AlgebraContext",
     "AlgebraElement",
@@ -142,7 +145,7 @@ class AlgebraContext:
     def __init__(
         self,
         generators: Iterable[tuple[str, int]],
-        max_weight: int = 6,
+        max_weight: int = DEFAULT_ORDER,
     ) -> None:
         if not isinstance(max_weight, int) or isinstance(max_weight, bool) or max_weight < 1:
             raise ValueError(f"max_weight must be a positive integer, got {max_weight!r}")

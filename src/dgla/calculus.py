@@ -81,6 +81,13 @@ class FlatnessError(ValueError):
     """A purported point fails the flatness (Maurer-Cartan) equation."""
 
 
+def _require_degree(x: AlgebraElement, degree: int, what: str) -> None:
+    # the one degree check on calculus arguments: x is zero or homogeneous of degree
+    found = x.homogeneous_degree()
+    if found not in (degree, None):
+        raise GradingError(f"{what} must have degree {degree}, got {found}")
+
+
 # -- scalar power series ------------------------------------------------
 
 
@@ -147,9 +154,7 @@ def apply_operator_series(
     table = [_as_fraction(c) for c in coeffs]
     if direction.context != target.context:
         raise ContextMismatchError("direction and target must share a context")
-    ddeg = direction.homogeneous_degree()
-    if ddeg not in (0, None):
-        raise GradingError(f"operator direction must have degree 0, got {ddeg}")
+    _require_degree(direction, 0, "operator direction")
     target.homogeneous_degree()  # raises on mixed input
     return _series_walk(target, lambda current: bracket(direction, current), [table])[0]
 
@@ -230,9 +235,7 @@ def bch(xs: Sequence[AlgebraElement]) -> AlgebraElement:
         raise ValueError("bch needs at least one argument")
     product: AlgebraElement | None = None
     for x in xs:
-        degree = x.homogeneous_degree()
-        if degree not in (0, None):
-            raise GradingError(f"bch arguments must have degree 0, got {degree}")
+        _require_degree(x, 0, "bch arguments")
         factor = exp_assoc(x)
         # (1 + product)(1 + factor) with the unit kept implicit
         product = factor if product is None else product + factor + product * factor
@@ -314,9 +317,7 @@ def _assigned(model: "CellModel", name: str) -> AlgebraElement:
 
 def maurer_cartan_defect(model: "CellModel", p: AlgebraElement) -> AlgebraElement:
     """``D p + (1/2)[p, p]``; zero exactly when ``p`` is a point."""
-    degree = p.homogeneous_degree()
-    if degree not in (-1, None):
-        raise GradingError(f"a candidate point must have degree -1, got {degree}")
+    _require_degree(p, -1, "a candidate point")
     return extend_differential(model, p) + Fraction(1, 2) * bracket(p, p)
 
 
@@ -353,9 +354,7 @@ def flow(
     sweeps the component of 0).
     """
     table = _integrator(t, model.context.max_weight)
-    ddeg = direction.homogeneous_degree()
-    if ddeg not in (0, None):
-        raise GradingError(f"flow direction must have degree 0, got {ddeg}")
+    _require_degree(direction, 0, "flow direction")
     degree = start.homogeneous_degree()
     source = bracket(start, direction)
     if degree in (-1, None):

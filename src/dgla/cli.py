@@ -15,10 +15,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import (
+    DEFAULT_ORDER,
     AlgebraContext,
     AlgebraElement,
     GradingError,
-    SeriesParseError,
     encode,
     format_element,
     format_element_latex,
@@ -35,7 +35,6 @@ from .models import (
     verify_model,
 )
 
-DEFAULT_ORDER = 6
 # Highest supported --order; bernoulli accepts indices up to twice this.
 MAX_ORDER = 10
 
@@ -231,7 +230,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _add_common(parser: argparse.ArgumentParser, formats: bool = True) -> None:
-    parser.add_argument("--order", type=_ascii_integer, default=DEFAULT_ORDER, help="truncation order (default 6)")
+    parser.add_argument("--order", type=_ascii_integer, default=DEFAULT_ORDER, help=f"truncation order (default {DEFAULT_ORDER})")
     parser.add_argument("--output", default=None, help="write output to this path instead of stdout")
     if formats:
         parser.add_argument(
@@ -378,7 +377,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if "order" in args:
             _validate_order(args.order)
         return _HANDLERS[args.command](args)
-    except (UsageError, SeriesParseError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

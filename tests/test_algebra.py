@@ -18,6 +18,7 @@ from dgla import (
     encode,
     flow,
     format_element,
+    format_element_latex,
     is_primitive,
     weight_component,
 )
@@ -71,6 +72,31 @@ class TestContext:
         other = AlgebraContext([(g.name, g.degree) for g in CTX.generators], 6)
         assert other == CTX
         assert AlgebraContext([("a", -1)], 6) != CTX
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: AlgebraContext([("", 0)]), ValueError, "generator name must be a nonempty string, got ''"),
+            (lambda: AlgebraContext([(1, 0)]), ValueError, "generator name must be a nonempty string, got 1"),
+            (lambda: AlgebraContext([("e", "0")]), ValueError, "generator degree must be an integer, got '0'"),
+            (lambda: AlgebraContext([("e", True)]), ValueError, "generator degree must be an integer, got True"),
+            (lambda: CTX.element({("e", "z"): 1}), KeyError, "no generator named 'z' in this context"),
+            (lambda: CTX.element({(0, 5): 1}), ValueError, "generator index 5 out of range"),
+            (lambda: CTX.element({(-1,): 1}), ValueError, "generator index -1 out of range"),
+            (lambda: CTX.element({("e", 1.0): 1}), TypeError, "word letters must be names or indices, got 1.0"),
+            (lambda: CTX.element({(True,): 1}), TypeError, "word letters must be names or indices, got True"),
+        ],
+    )
+    def test_bad_generator_or_letter_rejected(self, build, error, message):
+        with pytest.raises(error) as caught:
+            build()
+        assert caught.value.args[0] == message
+
+    def test_overweight_coefficient_is_zero(self):
+        assert CTX.gen("e").coefficient(("e",) * 7) == 0
+
+    def test_repr(self):
+        assert repr(CTX) == "AlgebraContext([a:-1, b:-1, e:0, f:0, g:1], max_weight=6)"
 
     def test_element_drops_overweight_words(self):
         el = CTX.element({("e",) * 7: 1, ("e",): 1})
@@ -217,6 +243,22 @@ class TestMorphisms:
         with pytest.raises(ValueError):
             GeneratorMorphism(CTX, {"e": "f"})
 
+    def test_unknown_names_rejected(self):
+        with pytest.raises(KeyError, match=r"mapping names unknown to the context: \['y', 'z'\]"):
+            GeneratorMorphism(CTX, {"z": "e", "y": "f"})
+        with pytest.raises(KeyError, match="no generator named 'z' in this context"):
+            GeneratorMorphism(CTX, {"e": "-z"})
+
+    def test_foreign_context_rejected(self):
+        other = AlgebraContext([("e", 0), ("f", 0)], 6)
+        swap = GeneratorMorphism(other, {"e": "f", "f": "e"})
+        with pytest.raises(ContextMismatchError, match="morphism and element belong to different contexts"):
+            apply_morphism(swap, CTX.gen("e"))
+
+    def test_repr(self):
+        assert repr(GeneratorMorphism(CTX, {"e": "-f", "f": "-e"})) == "<GeneratorMorphism e->-f, f->-e>"
+        assert repr(GeneratorMorphism(CTX, {"a": "a"})) == "<GeneratorMorphism id>"
+
     def test_target_must_be_a_name(self):
         with pytest.raises(TypeError, match=r"\(1, 'f'\)"):
             GeneratorMorphism(CTX, {"e": (1, "f"), "f": "e"})
@@ -330,6 +372,18 @@ class TestDisplay:
 
     def test_format_zero(self):
         assert format_element(CTX.zero()) == "0"
+
+    def test_latex_integer_and_fraction_coefficients(self):
+        el = 2 * CTX.gen("e") + Fraction(3, 2) * CTX.gen("a")
+        assert format_element_latex(el) == r"\tfrac{3}{2} \, a + 2 \, e"
+
+    def test_repr_truncates_long_elements(self):
+        short = CTX.element({("e",): 1, ("e", "f"): Fraction(-1, 2)})
+        assert repr(short) == "<AlgebraElement e - 1/2 e f>"
+        long = bch([CTX.gen("e"), CTX.gen("f")])
+        text = format_element(long)
+        assert len(text) > 120
+        assert repr(long) == f"<AlgebraElement {text[:117]}...>"
 
 
 class TestInContext:

@@ -280,6 +280,26 @@ class TestDerivationExtension:
         with pytest.raises(GradingError):
             extend_differential(circle, ctx.gen("a") + ctx.gen("e"))
 
+    def test_foreign_element_rejected(self, circle):
+        foreign = AlgebraContext([("a", -1)], 6).gen("a")
+        with pytest.raises(ModelError, match="element does not belong to the model's context"):
+            extend_differential(circle, foreign)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda m, a, e: apply_operator_series([0, 1], a, e), "operator direction must have degree 0, got -1"),
+        (lambda m, a, e: flow(m, a, e), "flow direction must have degree 0, got -1"),
+        (lambda m, a, e: bch([e, a]), "bch arguments must have degree 0, got -1"),
+        (lambda m, a, e: maurer_cartan_defect(m, e), "a candidate point must have degree -1, got 0"),
+    ],
+)
+def test_argument_degree_messages(circle, call, message):
+    with pytest.raises(GradingError) as caught:
+        call(circle, circle.context.gen("a"), circle.context.gen("e"))
+    assert str(caught.value) == message
+
 
 class TestMaurerCartan:
     def test_vertices_are_points(self, circle):

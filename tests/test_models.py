@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import dgla.models
 from dgla import (
     GeneratorMorphism,
+    GradingError,
     ModelCheck,
     ModelError,
     OneComplex,
@@ -61,6 +62,10 @@ class TestBuilders:
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_all_models_verify_at_low_order(self, name):
         assert verify_model(build_named_model(name, 4)).overall
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(KeyError, match="unknown model 'torus'"):
+            build_named_model("torus")
 
     def test_build_then_verify_computes_d_squared_once(self, monkeypatch):
         calls = []
@@ -423,6 +428,24 @@ class TestCellSquare:
         square = extend_differential(model, differential["g"])
         assert square == differential["e"] and failed["d_squared_zero[g]"].witness == square
 
+    def test_second_cell_takes_the_full_square(self):
+        # g and h are both attached along the disc's loop, so the other
+        # generators of either are not all vertices and edges: the route
+        # refuses, and the full square of each is zero
+        ctx = AlgebraContext([("a", -1), ("e", 0), ("g", 1), ("h", 1)], 4)
+        a, e = ctx.gen("a"), ctx.gen("e")
+        differential = {"a": Fraction(-1, 2) * bracket(a, a), "e": bracket(e, a)}
+        differential.update(g=e - bracket(a, ctx.gen("g")), h=e - bracket(a, ctx.gen("h")))
+        model = CellModel(
+            ctx,
+            {name: weight_component(d, 1) for name, d in differential.items()},
+            differential,
+            {name: frozenset(differential) for name in differential},
+        )
+        for cell in ("g", "h"):
+            assert not dgla.models._cell_square_vanishes(model, ctx.generator(cell))
+        assert verify_model(model).overall
+
 
 class TestVerificationFailures:
     def test_broken_square_is_caught_with_witness(self, bigon_sym):
@@ -444,6 +467,18 @@ class TestVerificationFailures:
         x = compute_symmetric_data(6).x.in_context(ctx)
         expected = bracket(de, f) + bracket(e, df) + bracket(x, bracket(e, f))
         assert failed["d_squared_zero[g]"].witness == expected
+
+    @pytest.mark.parametrize(
+        "generator, letter, degrees", [("g", "a", "[-1, 0]"), ("e", "e", "[-1, 0]"), ("a", "e", "[-2, 0]")]
+    )
+    def test_mixed_degree_differential_raises(self, generator, letter, degrees):
+        # a decoded envelope can carry one: the decoders do not check degrees
+        model = build_named_model("bigon-sym", 5)
+        mixed = model.differential[generator] + model.context.gen(letter)
+        mutated = replace(model, differential={**model.differential, generator: mixed})
+        with pytest.raises(GradingError) as caught:
+            verify_model(mutated)
+        assert str(caught.value) == f"element has mixed degrees {degrees}"
 
     def test_missing_boundary_is_caught(self, bigon_sym):
         ctx = bigon_sym.context
@@ -788,6 +823,11 @@ _REJECTIONS = {  # case: (text, message, position)
         lambda: _envelope("closure", "e", ["a", "z"]),
         "closure entries must list declared generator names once, in generator order",
         "closure.e",
+    ),
+    "envelope-boundary0-keys": (
+        lambda: _envelope("boundary0", "z", []),
+        "boundary0 must map exactly the declared generators",
+        "boundary0",
     ),
     "envelope-differential-g": (
         lambda: _envelope_letter(["g", "x"]),
