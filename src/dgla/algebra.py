@@ -307,7 +307,7 @@ class AlgebraElement:
     degree), :meth:`in_context` and :func:`apply_morphism`,
     :func:`weight_component`, the right quotient by a letter, the filters
     ``_ending_in`` and ``_terms_using``, the right-normed bracketing, and
-    the Leibniz kernel when its images shift every letter's degree alike.
+    the Leibniz kernel of a model's differential, which lowers it by one.
     Only elements built from terms (:meth:`AlgebraContext.element`, the
     decoders) are scanned.
 
@@ -684,15 +684,13 @@ def _odd_derivation(x: AlgebraElement, image: Callable[[str], AlgebraElement], t
 
     It acts letter by letter with the Koszul sign
     ``D(uv) = (Du) v + (-1)^{|u|} u (Dv)``, and is asked only for the
-    images of the letters that occur in ``x``.  When every nonzero image
-    has a known degree ``s`` more than its letter's, and ``x`` a known
-    degree, the result has degree ``|x| + s``.
+    images of the letters that occur in ``x``.  Each image is zero or of
+    degree one less than its letter's, as a model's differential is
+    (:class:`~dgla.models.CellModel`), so when ``x`` has a known degree
+    the result has that degree less one.
     """
     context = x.context
     images = {letter: image(context.generators[letter].name) for letter in _letters(x, top)}
-    known = {letter: _known_degree(d) for letter, d in images.items() if d}
-    moves = {None if d is None else d - context._degrees[letter] for letter, d in known.items()}
-    degree, move = _known_degree(x), moves.pop() if len(moves) == 1 else None
     shared = math.lcm(*(d._den for d in images.values()))
     bits = context._bits
     mask = (1 << bits) - 1
@@ -732,8 +730,8 @@ def _odd_derivation(x: AlgebraElement, image: Callable[[str], AlgebraElement], t
                             target[w] = get(w, 0) + a * b
                 if parities[letter]:
                     a = -a
-    degree = None if degree is None or move is None else degree + move
-    return AlgebraElement(context, out, x._den * shared, degree)
+    degree = _known_degree(x)
+    return AlgebraElement(context, out, x._den * shared, None if degree is None else degree - 1)
 
 
 class _LinearSum:

@@ -74,7 +74,11 @@ __all__ = [
 
 
 class ModelError(ValueError):
-    """A cell model is missing data needed by an operation."""
+    """An ill-formed model, or an element from another context."""
+
+    def __init__(self, message: str, position: str | None = None) -> None:
+        super().__init__(message if position is None else f"{message} (at {position})")
+        self.message, self.position = message, position
 
 
 class FlatnessError(ValueError):
@@ -304,15 +308,7 @@ def extend_differential(model: "CellModel", x: AlgebraElement) -> AlgebraElement
     if x.context != model.context:
         raise ModelError("element does not belong to the model's context")
     x.homogeneous_degree()  # raises on mixed input
-    return _odd_derivation(x, lambda name: _assigned(model, name), model.context.max_weight)
-
-
-def _assigned(model: "CellModel", name: str) -> AlgebraElement:
-    # the differential the model assigns to the generator name
-    image = model.differential.get(name)
-    if image is None:
-        raise ModelError(f"generator {name!r} has no differential assignment")
-    return image
+    return _odd_derivation(x, model.differential.__getitem__, model.context.max_weight)
 
 
 def maurer_cartan_defect(model: "CellModel", p: AlgebraElement) -> AlgebraElement:

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
 from .algebra import (
@@ -37,6 +38,7 @@ from .algebra import (
     AlgebraElement,
     Generator,
     GeneratorMorphism,
+    GradingError,
     SeriesParseError,
     _context_from_json,
     _context_json,
@@ -56,11 +58,12 @@ from .algebra import (
     weight_component,
 )
 from .calculus import (
-    _assigned,
+    ModelError,
     _binomial,
     _ending_differential,
     _logarithm,
     _power_series,
+    _require_degree,
     _vertex_flows,
     bch,
     edge_differential,
@@ -115,13 +118,34 @@ class CellModel:
     differential; ``closure`` lists, for each generator, the generators
     of the cells its differential is allowed to touch (the locality
     constraint).  ``order`` is the truncation order of ``context``.
-    Instances are immutable and shareable.
+    Making one, by :func:`dataclasses.replace` too, raises
+    :class:`~dgla.calculus.ModelError` unless each table maps exactly the
+    generators into ``context`` and each ``Dg`` is zero or homogeneous of
+    degree ``|g| - 1``.  The tables are kept as read-only copies.
     """
 
     context: AlgebraContext
     boundary0: Mapping[str, AlgebraElement]
     differential: Mapping[str, AlgebraElement]
     closure: Mapping[str, frozenset[str]]
+
+    def __post_init__(self) -> None:
+        context, declared = self.context, set(self.context.names)
+        for field in ("boundary0", "differential", "closure"):
+            table = getattr(self, field)
+            if not isinstance(table, Mapping) or table.keys() != declared:
+                raise ModelError(f"{field} must map exactly the declared generators", field)
+            object.__setattr__(self, field, MappingProxyType({name: table[name] for name in context.names}))
+        for g in context.generators:
+            for field, x in (("boundary0", self.boundary0[g.name]), ("differential", self.differential[g.name])):
+                if not isinstance(x, AlgebraElement) or x.context != context:
+                    raise ModelError("element does not belong to the model's context", f"{field}.{g.name}")
+            try:
+                _require_degree(self.differential[g.name], g.degree - 1, f"D{g.name}")
+            except GradingError as exc:
+                raise ModelError(str(exc), f"differential.{g.name}") from None
+            if not isinstance(self.closure[g.name], frozenset) or not self.closure[g.name] <= declared:
+                raise ModelError("closure must be a frozenset of declared generators", f"closure.{g.name}")
 
     @property
     def order(self) -> int:
@@ -358,8 +382,7 @@ def verify_model(model: CellModel, subject: str = "model") -> VerificationReport
     zero at the model's order; vertices satisfy the flatness equation;
     the weight-1 part of each differential equals the stored geometric
     boundary; each differential only involves generators in the closure
-    of its cell.  Failures carry the offending element as a witness; a
-    differential of mixed degree raises :class:`~dgla.algebra.GradingError`.
+    of its cell.  Failures carry the offending element as a witness.
     The checks run once per model instance, so a model a builder returns
     (and so has verified) is reported without recomputing them.
 
@@ -388,9 +411,9 @@ def _model_checks(model: CellModel) -> tuple[ModelCheck, ...]:
     ``MC(p) = Dp + 1/2 [p, p]``.
 
     The shape check: ``g`` has degree 1 and every other generator degree
-    -1 (a vertex) or 0 (an edge), every differential (``Dg`` included) is
-    homogeneous of degree one less than its generator's, and ``h``, ``p``
-    and the other differentials have no letter ``g``.  Then the first
+    -1 (a vertex) or 0 (an edge), and ``h``, ``p`` and the other
+    differentials have no letter ``g``; every differential has degree one
+    less than its generator's in any :class:`CellModel`.  Then the first
     summand has no ``g`` and every word of the second exactly one, so
     ``D(Dg)`` vanishes through weight ``N`` exactly when ``D_p(h)`` does
     through ``N`` and ``MC(p)`` through ``N - 1``.  The degrees of the
@@ -453,9 +476,6 @@ def _cell_square_vanishes(model: CellModel, cell: Generator) -> bool:
     others = [g for g in context.generators if g is not cell]
     if any(g.degree not in (-1, 0) for g in others):
         return False
-    for g in context.generators:
-        if model.differential[g.name].homogeneous_degree() not in (g.degree - 1, None):
-            return False  # mixed degrees raise GradingError, as the square's check does
     dg = model.differential[cell.name]
     images = [model.differential[g.name] for g in others]
     vertices = {g.index for g in others if g.degree == -1}
@@ -485,9 +505,9 @@ def check_equivariance(
     checks: list[ModelCheck] = []
     generators = model.context.generators
     for g in generators:
-        lhs = apply_morphism(morphism, _assigned(model, g.name))
+        lhs = apply_morphism(morphism, model.differential[g.name])
         sign, index = morphism._table[g.index]
-        rhs = _assigned(model, generators[index].name)
+        rhs = model.differential[generators[index].name]
         if sign < 0:
             rhs = -rhs
         witness = None if lhs == rhs else lhs - rhs
@@ -547,36 +567,22 @@ def decode_model(text: str) -> tuple[str, CellModel]:
     if not isinstance(name, str) or not name:
         raise SeriesParseError("model name must be a nonempty string", position="model")
     context = _context_from_json(data)
-    names = set(context.names)
-    tables: dict[str, dict[str, AlgebraElement]] = {}
+    # each table's entries are parsed in place; a table that is not an
+    # object maps no generator, which CellModel rejects
+    tables = {field: data.get(field) for field in ("boundary0", "differential", "closure")}
+    tables = {field: table if isinstance(table, dict) else {} for field, table in tables.items()}
     for field in ("boundary0", "differential"):
-        raw = data.get(field)
-        if not isinstance(raw, dict) or set(raw) != names:
-            raise SeriesParseError(
-                f"{field} must map exactly the declared generators", position=field
-            )
-        tables[field] = {
-            gname: _element_from_json_terms(context, terms, f"{field}.{gname}")
-            for gname, terms in raw.items()
-        }
-    raw_closure = data.get("closure")
-    if not isinstance(raw_closure, dict) or set(raw_closure) != names:
-        raise SeriesParseError(
-            "closure must map exactly the declared generators", position="closure"
-        )
-    closure: dict[str, frozenset[str]] = {}
-    for gname, members in raw_closure.items():
+        for gname, terms in tables[field].items():
+            tables[field][gname] = _element_from_json_terms(context, terms, f"{field}.{gname}")
+    for gname, members in tables["closure"].items():
         # the canonical list: declared names, each once, in generator order
         if not isinstance(members, list) or members != [h for h in context.names if h in members]:
             raise SeriesParseError(
                 "closure entries must list declared generator names once, in generator order",
                 position=f"closure.{gname}",
             )
-        closure[gname] = frozenset(members)
-    model = CellModel(
-        context=context,
-        boundary0=tables["boundary0"],
-        differential=tables["differential"],
-        closure=closure,
-    )
-    return name, model
+        tables["closure"][gname] = frozenset(members)
+    try:
+        return name, CellModel(context, **tables)
+    except ModelError as exc:
+        raise SeriesParseError(exc.message, exc.position) from None

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import dgla.models
 from dgla import (
     GeneratorMorphism,
-    GradingError,
     ModelCheck,
     ModelError,
     OneComplex,
@@ -62,6 +61,15 @@ class TestBuilders:
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_all_models_verify_at_low_order(self, name):
         assert verify_model(build_named_model(name, 4)).overall
+
+    def test_tables_are_read_only(self):
+        # the cached instance is shared, so no caller may edit it under
+        # its stored checks
+        model = build_named_model("circle2", 4)
+        for table in (model.boundary0, model.differential, model.closure):
+            with pytest.raises(TypeError):
+                table["e"] = table["f"]
+        assert build_named_model("circle2", 4) is model and verify_model(model).overall
 
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError, match="unknown model 'torus'"):
@@ -179,11 +187,18 @@ class TestBasedBigonSymmetry:
 
     @pytest.mark.parametrize("missing", ["b", "g"])
     def test_missing_assignment_raises_model_error(self, missing):
-        # b is the image of a under the rotation, g its own image
+        # b is the image of a under the rotation, g its own image: the
+        # model is refused when it is made, before any check reads it
         model = build_named_model("bigon-a", 4)
-        partial = replace(model, differential={g: d for g, d in model.differential.items() if g != missing})
-        with pytest.raises(ModelError, match=f"'{missing}'"):
-            check_equivariance(partial, symmetry_morphism("bigon-a", model.context, "sigma"))
+        partial = {g: d for g, d in model.differential.items() if g != missing}
+        for make in (
+            lambda: replace(model, differential=partial),
+            lambda: CellModel(model.context, model.boundary0, partial, model.closure),
+        ):
+            with pytest.raises(ModelError) as caught:
+                make()
+            assert caught.value.position == "differential"
+            assert str(caught.value) == "differential must map exactly the declared generators (at differential)"
 
 
 class TestSymmetricData:
@@ -407,26 +422,26 @@ class TestCellSquare:
         square = extend_differential(mutated, mutated.differential["g"])
         assert square and failed["d_squared_zero[g]"].witness == square
 
-    @pytest.mark.parametrize("vertices", [(), ("a",)])
-    def test_edge_image_of_degree_zero_takes_the_full_square(self, vertices):
-        # De = [f, k] has degree 0, not -1, so D(Dg) = [f, k] has no
-        # vertex-ending word; only the full square can see it
-        ctx = AlgebraContext([*((v, -1) for v in vertices), ("e", 0), ("f", 0), ("k", 0), ("g", 1)], 4)
-        zero = ctx.element({})
-        flat = {v: Fraction(-1, 2) * bracket(ctx.gen(v), ctx.gen(v)) for v in vertices}
-        differential = {**flat, "e": bracket(ctx.gen("f"), ctx.gen("k"))}
-        differential.update(f=zero, k=zero, g=ctx.gen("e"))
-        model = CellModel(
-            ctx,
-            {name: weight_component(d, 1) for name, d in differential.items()},
-            differential,
-            {name: frozenset(differential) for name in differential},
-        )
-        assert not dgla.models._cell_square_vanishes(model, ctx.generator("g"))
-        failed = {c.name: c for c in verify_model(model).failures()}
-        assert list(failed) == ["d_squared_zero[g]"]
-        square = extend_differential(model, differential["g"])
-        assert square == differential["e"] and failed["d_squared_zero[g]"].witness == square
+    @pytest.mark.parametrize(
+        "vertices, cell", [((), True), (("a",), True), ((), False)], ids=["cell", "cell-and-vertex", "no-cell"]
+    )
+    def test_edge_image_of_degree_zero_is_refused(self, vertices, cell):
+        # An edge image of degree 0, not -1, is refused however the rest
+        # would check: De = [f, k] under Dg = e would give D(Dg) = [f, k],
+        # which has no vertex-ending word for the 2-cell route to see, and
+        # De = f with no 2-cell squares to zero and would verify.
+        letters = [(v, -1) for v in vertices] + [("e", 0), ("f", 0)] + ([("k", 0), ("g", 1)] if cell else [])
+        ctx = AlgebraContext(letters, 4)
+        differential = {name: ctx.zero() for name in ctx.names}
+        differential.update({v: Fraction(-1, 2) * bracket(ctx.gen(v), ctx.gen(v)) for v in vertices})
+        differential["e"] = bracket(ctx.gen("f"), ctx.gen("k")) if cell else ctx.gen("f")
+        if cell:
+            differential["g"] = ctx.gen("e")
+        boundary0 = {name: weight_component(d, 1) for name, d in differential.items()}
+        closure = {name: frozenset(ctx.names) for name in ctx.names}
+        with pytest.raises(ModelError) as caught:
+            CellModel(ctx, boundary0, differential, closure)
+        assert str(caught.value) == "De must have degree -1, got 0 (at differential.e)"
 
     def test_second_cell_takes_the_full_square(self):
         # g and h are both attached along the disc's loop, so the other
@@ -472,13 +487,41 @@ class TestVerificationFailures:
         "generator, letter, degrees", [("g", "a", "[-1, 0]"), ("e", "e", "[-1, 0]"), ("a", "e", "[-2, 0]")]
     )
     def test_mixed_degree_differential_raises(self, generator, letter, degrees):
-        # a decoded envelope can carry one: the decoders do not check degrees
+        # refused when the model is made, as a ModelError at the entry
         model = build_named_model("bigon-sym", 5)
         mixed = model.differential[generator] + model.context.gen(letter)
-        mutated = replace(model, differential={**model.differential, generator: mixed})
-        with pytest.raises(GradingError) as caught:
-            verify_model(mutated)
-        assert str(caught.value) == f"element has mixed degrees {degrees}"
+        with pytest.raises(ModelError) as caught:
+            replace(model, differential={**model.differential, generator: mixed})
+        assert caught.value.position == f"differential.{generator}"
+        assert str(caught.value) == f"element has mixed degrees {degrees} (at differential.{generator})"
+
+    @pytest.mark.parametrize(
+        "field, entry, message",
+        [
+            ("boundary0", "order-5", "element does not belong to the model's context"),
+            ("differential", "order-5", "element does not belong to the model's context"),
+            ("closure", "undeclared", "closure must be a frozenset of declared generators"),
+            ("closure", "mutable", "closure must be a frozenset of declared generators"),
+        ],
+        ids=["boundary0-order-5", "differential-order-5", "closure-undeclared", "closure-mutable"],
+    )
+    def test_ill_formed_entry_raises(self, field, entry, message):
+        # the constructor and dataclasses.replace refuse the entry at fault:
+        # an element of the order-5 model, which would encode and then fail
+        # to decode, a closure naming zz, which the envelope would drop, or
+        # a mutable set
+        model = build_named_model("circle2", 4)
+        value = {
+            "order-5": getattr(build_named_model("circle2", 5), field)["e"],
+            "undeclared": model.closure["e"] | {"zz"},
+            "mutable": set(model.closure["e"]),
+        }[entry]
+        tables = {"boundary0": model.boundary0, "differential": model.differential, "closure": model.closure}
+        tables[field] = {**tables[field], "e": value}
+        for make in (lambda: replace(model, **{field: tables[field]}), lambda: CellModel(model.context, **tables)):
+            with pytest.raises(ModelError) as caught:
+                make()
+            assert str(caught.value) == f"{message} (at {field}.e)"
 
     def test_missing_boundary_is_caught(self, bigon_sym):
         ctx = bigon_sym.context
@@ -833,6 +876,17 @@ _REJECTIONS = {  # case: (text, message, position)
         lambda: _envelope_letter(["g", "x"]),
         "unknown generator 'x'",
         "differential.g[2].word[1]",
+    ),
+    # a well-formed envelope of an ill-formed model: the constructor's refusal
+    "envelope-differential-wrong-degree": (
+        lambda: _envelope("differential", "e", [{"coeff": "1/1", "word": ["e"]}]),
+        "De must have degree -1, got 0",
+        "differential.e",
+    ),
+    "envelope-differential-mixed-degree": (
+        lambda: _envelope("differential", "e", [{"coeff": "1/1", "word": [x]} for x in "ae"]),
+        "element has mixed degrees [-1, 0]",
+        "differential.e",
     ),
     # where a term has two defects, the check that comes first reports
     "fields-before-coefficient": (
