@@ -305,7 +305,7 @@ class AlgebraElement:
     generators, scaling and negation, the product and :func:`bracket`,
     sums (through ``_LinearSum``, when every summand has the same known
     degree), :meth:`in_context` and :func:`apply_morphism`,
-    :func:`weight_component`, the right quotient by a letter, the filters
+    :func:`weight_component`, the right quotients by the letters, the filters
     ``_ending_in`` and ``_terms_using``, the right-normed bracketing, and
     the Leibniz kernel of a model's differential, which lowers it by one.
     Only elements built from terms (:meth:`AlgebraContext.element`, the
@@ -385,14 +385,22 @@ class AlgebraElement:
         except AttributeError:
             pass
         context = self.context
-        letter_degrees = context._degrees
-        bits = context._bits
-        mask = (1 << bits) - 1
-        degrees = set()
+        sums = _degree_table(context)
+        chunk = context._chunk
+        step = context._bits * chunk
+        mask, flag = (1 << step) - 1, 1 << step
+        degrees: set[int] = set()
         for k, bucket in enumerate(self._buckets):
-            shifts = range(0, bits * k, bits)
+            if not bucket:
+                continue
+            # the leading 1..chunk letters, then whole chunks
+            top = step * ((k - 1) // chunk)
+            shifts = range(top - step, -1, -step)
             for w in bucket:
-                degrees.add(sum([letter_degrees[w >> shift & mask] for shift in shifts]))
+                degree = sums[w >> top]
+                for shift in shifts:
+                    degree += sums[w >> shift & mask | flag]
+                degrees.add(degree)
         if len(degrees) > 1:
             raise GradingError(f"element has mixed degrees {sorted(degrees)}")
         self._degree = degrees.pop() if degrees else None
@@ -481,7 +489,9 @@ class AlgebraElement:
                     f"target context, expected {g.degree}"
                 )
             table.append(None if index is None else (1, index))
-        missing = [i for i in _letters(self, context.max_weight) if table[i] is None]
+        missing = []
+        if None in table:  # a generator the target lacks may occur only in the dropped words
+            missing = [i for i in _letters(self, context.max_weight) if table[i] is None]
         if missing:
             names = sorted(self.context.generators[i].name for i in missing)
             raise ContextMismatchError(f"target context lacks generators {names}")
@@ -592,18 +602,30 @@ def _ending_in(x: AlgebraElement, letters: Collection[int]) -> AlgebraElement:
     return AlgebraElement(context, out, x._den, _known_degree(x))
 
 
-def _right_quotient(x: AlgebraElement, letter: int) -> AlgebraElement:
-    """``x / letter``: the words of ``x`` that end in ``letter``, that letter
-    removed.  A weight-1 term would leave the empty word, which no element
-    stores, so only words of weight at least 2 contribute."""
+def _right_quotients(x: AlgebraElement) -> list[AlgebraElement]:
+    """``x / l`` for every letter ``l``, indexed by generator, from one pass
+    that splits the words of ``x`` by their last letter and removes it.  A
+    weight-1 term would leave the empty word, which no element stores, so
+    only words of weight at least 2 contribute."""
     context = x.context
     bits = context._bits
     mask = (1 << bits) - 1
-    out = list(context._no_terms)
-    for k in range(2, len(out)):
-        out[k - 1] = {w >> bits: n for w, n in x._buckets[k].items() if w & mask == letter}
+    letters = range(len(context.generators))
+    outs = [list(context._no_terms) for _ in letters]
+    for k in range(2, len(context._no_terms)):
+        if not x._buckets[k]:
+            continue
+        split: list[dict[int, int]] = [{} for _ in letters]
+        for w, n in x._buckets[k].items():
+            split[w & mask][w >> bits] = n
+        for out, terms in zip(outs, split):
+            if terms:
+                out[k - 1] = terms
     degree = _known_degree(x)
-    return AlgebraElement(context, out, x._den, None if degree is None else degree - context._degrees[letter])
+    return [
+        AlgebraElement(context, out, x._den, None if degree is None else degree - context._degrees[letter])
+        for letter, out in zip(letters, outs)
+    ]
 
 
 class _ChunkTable(dict):
@@ -643,6 +665,12 @@ def _relabel_table(
     return _ChunkTable(
         source, table, (1, 1), lambda acc, entry: (acc[0] * entry[0], acc[1] << bits | entry[1])
     )
+
+
+@lru_cache(maxsize=64)
+def _degree_table(context: AlgebraContext) -> _ChunkTable:
+    # the chunk table of word degrees: the sum of the letters' degrees
+    return _ChunkTable(context, context._degrees, 0, lambda acc, degree: acc + degree)
 
 
 def _relabel(

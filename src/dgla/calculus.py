@@ -48,7 +48,7 @@ from .algebra import (
     _LinearSum,
     _odd_derivation,
     _product,
-    _right_quotient,
+    _right_quotients,
     bracket,
     weight_component,
 )
@@ -372,8 +372,7 @@ def _ending_differential(
     differential = model.differential.__getitem__
     out = _LinearSum(context)
     out.add(1, _ending_in(_odd_derivation(weight_component(y, 1), differential, top), vertices))
-    for g in context.generators:
-        quotient = _right_quotient(y, g.index)
+    for g, quotient in zip(context.generators, _right_quotients(y)):
         if not quotient:
             continue
         if g.index in vertices:

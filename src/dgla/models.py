@@ -19,7 +19,12 @@ map, resolved by :func:`symmetry_morphism`.
 Every builder verifies the model it returns and raises
 :class:`RuntimeError` naming the failed checks.  The checks run once
 per model instance; :func:`verify_model` returns that stored result
-instead of recomputing it.  :func:`build_named_model` and
+instead of recomputing it.  A model with a 2-cell is built on the
+verified model of its 1-skeleton: it inherits the skeleton's checks and
+computes only the 2-cell's, deciding its square from the basepoint and
+holonomy the builder attached.  Decoded and :func:`dataclasses.replace`
+copies run every check, deriving the basepoint and holonomy from ``Dg``.
+:func:`build_one_complex`, :func:`build_named_model` and
 :func:`compute_symmetric_data` are memoized; models are immutable, so
 the cached instances are safe to share.
 """
@@ -49,7 +54,7 @@ from .algebra import (
     _load_json,
     _product,
     _right_normed,
-    _right_quotient,
+    _right_quotients,
     _terms_to_json,
     _terms_using,
     apply_morphism,
@@ -101,6 +106,9 @@ class OneComplex:
     edges: tuple[tuple[str, str, str], ...] = ()  # (name, source, target)
 
     def __post_init__(self) -> None:
+        # kept as tuples, so that a complex is hashable: build_one_complex is memoized
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        object.__setattr__(self, "edges", tuple(tuple(edge) for edge in self.edges))
         names = list(self.vertices) + [e[0] for e in self.edges]
         if len(set(names)) != len(names):
             raise ValueError("vertex and edge names must be unique")
@@ -121,8 +129,11 @@ class CellModel:
     Making one, by :func:`dataclasses.replace` too, raises
     :class:`~dgla.calculus.ModelError` unless each table maps exactly the
     generators into ``context`` and each ``Dg`` is zero or homogeneous of
-    degree ``|g| - 1``.  The tables are kept as read-only copies.
+    degree ``|g| - 1``.  The tables are kept as read-only copies.  A
+    model is not hashable: its elements compare by value only.
     """
+
+    __hash__ = None  # type: ignore[assignment]
 
     context: AlgebraContext
     boundary0: Mapping[str, AlgebraElement]
@@ -153,7 +164,8 @@ class CellModel:
 
     @cached_property
     def _checks(self) -> tuple[ModelCheck, ...]:
-        # computed once per instance; a dataclasses.replace copy starts afresh
+        # computed once per instance, unless a builder stored it (_build);
+        # a dataclasses.replace copy starts afresh
         return _model_checks(self)
 
 
@@ -219,23 +231,24 @@ def _verified(model: CellModel) -> CellModel:
 
 
 # A 2-cell's data: its basepoint and the holonomy of its boundary loop,
-# both in the context of the model that attaches it.
-_CellData = Callable[[AlgebraContext], tuple[AlgebraElement, AlgebraElement]]
+# built in the context of the skeleton it is attached to, so neither has
+# the letter g.  The basepoint is a generator or a _right_normed output,
+# so it is the right-normed bracketing of its words that end in a vertex:
+# the 2-cell's square is decided from this pair with neither the g-freeness
+# scans nor the bracketing guard (_cell_square_vanishes).
+_CellPair = tuple[AlgebraElement, AlgebraElement]
+_CellData = Callable[[AlgebraContext], _CellPair]
 
 
+@lru_cache(maxsize=None)
 def build_one_complex(complex_: OneComplex, order: int = DEFAULT_ORDER) -> CellModel:
-    """The model of a 1-complex: flat vertices, Bernoulli edge series."""
-    return _build(complex_, order, None)
+    """The model of a 1-complex: flat vertices, Bernoulli edge series.
 
-
-def _build(complex_: OneComplex, order: int, cell: _CellData | None) -> CellModel:
-    # With ``cell``, a 2-cell g is attached along the loop through every
-    # edge: its boundary is the sum of the edges, its closure is every
-    # generator, and Dg = holonomy - [basepoint, g].
+    Memoized per complex and order: the returned model is shared, with
+    every caller and with each cell model built on it as its skeleton.
+    """
     entries = [(v, -1) for v in complex_.vertices]
     entries += [(name, 0) for name, _, _ in complex_.edges]
-    if cell is not None:
-        entries.append(("g", 1))
     context = AlgebraContext(entries, max_weight=order)
     boundary0: dict[str, AlgebraElement] = {}
     differential: dict[str, AlgebraElement] = {}
@@ -248,12 +261,36 @@ def _build(complex_: OneComplex, order: int, cell: _CellData | None) -> CellMode
         boundary0[name] = context.gen(target) - context.gen(source)
         differential[name] = edge_differential(context, name, source, target)
         closure[name] = frozenset({name, source, target})
-    if cell is not None:
-        basepoint, holonomy = cell(context)
-        boundary0["g"] = context.element({(name,): 1 for name, _, _ in complex_.edges})
-        differential["g"] = holonomy - bracket(basepoint, context.gen("g"))
-        closure["g"] = frozenset(context.names)
     return _verified(CellModel(context, boundary0, differential, closure))
+
+
+def _build(complex_: OneComplex, order: int, cell: _CellData | None) -> CellModel:
+    # The skeleton's model, or with ``cell`` a 2-cell g attached to it along
+    # the loop through every edge: its boundary is the sum of the edges,
+    # its closure is every generator, and Dg = holonomy - [basepoint, g].
+    # No differential of the skeleton has the letter g, so each of its
+    # checks reads the same in the larger model: they are inherited, and
+    # only g's are computed.
+    skeleton = build_one_complex(complex_, order)
+    if cell is None:
+        return skeleton
+    entries = [(g.name, g.degree) for g in skeleton.context.generators]
+    context = AlgebraContext([*entries, ("g", 1)], max_weight=order)
+    basepoint, holonomy = (y.in_context(context) for y in cell(skeleton.context))
+    boundary0 = {name: y.in_context(context) for name, y in skeleton.boundary0.items()}
+    differential = {name: y.in_context(context) for name, y in skeleton.differential.items()}
+    closure = dict(skeleton.closure)
+    boundary0["g"] = context.element({(name,): 1 for name, _, _ in complex_.edges})
+    differential["g"] = holonomy - bracket(basepoint, context.gen("g"))
+    closure["g"] = frozenset(context.names)
+    model = CellModel(context, boundary0, differential, closure)
+    own = _model_checks(model, (context.generator("g"),), (basepoint, holonomy))
+    # the report order of _model_checks: family by family, g last in each
+    checks = sorted(
+        skeleton._checks + own, key=lambda check: _FAMILIES.index(check.name.partition("[")[0])
+    )
+    object.__setattr__(model, "_checks", tuple(checks))  # the cached_property's value
+    return _verified(model)
 
 
 @lru_cache(maxsize=None)
@@ -302,20 +339,20 @@ def compute_symmetric_data(order: int = DEFAULT_ORDER) -> SymmetricBigonData:
 def _based_at(vertex: str, *loop: str) -> _CellData:
     """Basepoint ``vertex``; holonomy ``bch`` of the loop's edges read from it."""
 
-    def cell(context: AlgebraContext) -> tuple[AlgebraElement, AlgebraElement]:
+    def cell(context: AlgebraContext) -> _CellPair:
         return context.gen(vertex), bch([context.gen(edge) for edge in loop])
 
     return cell
 
 
-def _midpoint(context: AlgebraContext) -> tuple[AlgebraElement, AlgebraElement]:
-    # the symmetric choice: basepoint x, holonomy q (compute_symmetric_data);
-    # [x, g] stops at the order, so the top weight of x, most of its words,
-    # is dropped before x is moved into the model's context
+def _midpoint(context: AlgebraContext) -> _CellPair:
+    # the symmetric choice: basepoint x, holonomy q (compute_symmetric_data),
+    # both in the circle's context; [x, g] stops at the order, so the top
+    # weight of x, most of its words, is dropped before x is moved into
+    # the model's context
     order = context.max_weight
     data = compute_symmetric_data(order)
-    x = data.x - weight_component(data.x, order)
-    return x.in_context(context), data.q.in_context(context)
+    return data.x - weight_component(data.x, order), data.q
 
 
 class _Entry(NamedTuple):
@@ -392,13 +429,22 @@ def verify_model(model: CellModel, subject: str = "model") -> VerificationReport
     cell has that shape and passes a Lie-membership guard.  Otherwise, or
     when that route cannot prove the square zero, the full Leibniz
     ``D(Dg)`` gives the verdict and the witness; :func:`_model_checks`
-    gives the argument.
+    gives the argument.  A builder hands the route the ``p`` and ``h`` it
+    built ``Dg`` from; a decoded or replaced copy has them derived from
+    ``Dg`` and guarded.
     """
     return VerificationReport(subject, model.order, model._checks)
 
 
-def _model_checks(model: CellModel) -> tuple[ModelCheck, ...]:
-    """Every check of :func:`verify_model`, in report order.
+# the check families of a report, in report order
+_FAMILIES = ("d_squared_zero", "vertex_flatness", "boundary_matches_weight1", "locality")
+
+
+def _model_checks(
+    model: CellModel, generators: tuple[Generator, ...] | None = None, attached: _CellPair | None = None
+) -> tuple[ModelCheck, ...]:
+    """Every check of :func:`verify_model`, in report order: of every
+    generator, or of ``generators`` only (a builder's 2-cell).
 
     ``d_squared_zero`` of a generator is ``D(D(g))`` by the Leibniz rule
     (:func:`extend_differential`), except that the square of a 2-cell is
@@ -441,17 +487,26 @@ def _model_checks(model: CellModel) -> tuple[ModelCheck, ...]:
     When the shape check or the guard fails, or either part is nonzero,
     the full ``D(Dg)`` decides the check and is its witness, so every
     failure's witness is the full square.
+
+    A builder passes as ``attached`` the basepoint and holonomy it made
+    ``Dg`` from (see ``_CellData``): then ``p`` and ``h`` are read, not
+    derived, ``p`` is the bracketing of its vertex-ending words and
+    neither has the letter ``g`` by construction, so the g-freeness scans
+    and the bracketing half of the guard are skipped.  DSW still runs on
+    ``h`` and the other differentials, the other differentials are built
+    without ``g`` too, and both parts still decide.
     """
     context = model.context
-    checks = [_verdict(f"d_squared_zero[{g.name}]", _square(model, g)) for g in context.generators]
-    for g in context.generators:
+    generators = context.generators if generators is None else generators
+    checks = [_verdict(f"d_squared_zero[{g.name}]", _square(model, g, attached)) for g in generators]
+    for g in generators:
         if g.degree == -1:
             defect = maurer_cartan_defect(model, context.gen(g.name))
             checks.append(_verdict(f"vertex_flatness[{g.name}]", defect))
-    for g in context.generators:
+    for g in generators:
         difference = weight_component(model.differential[g.name], 1) - model.boundary0[g.name]
         checks.append(_verdict(f"boundary_matches_weight1[{g.name}]", difference))
-    for g in context.generators:
+    for g in generators:
         outside = {h.index for h in context.generators if h.name not in model.closure[g.name]}
         witness = _terms_using(model.differential[g.name], outside)
         checks.append(_verdict(f"locality[{g.name}]", witness))
@@ -462,30 +517,37 @@ def _verdict(name: str, witness: AlgebraElement | None) -> ModelCheck:
     return ModelCheck(name, not witness, witness or None)  # passes on a zero or None witness
 
 
-def _square(model: CellModel, g: Generator) -> AlgebraElement | None:
-    if g.degree == 1 and _cell_square_vanishes(model, g):
+def _square(model: CellModel, g: Generator, attached: _CellPair | None) -> AlgebraElement | None:
+    if g.degree == 1 and _cell_square_vanishes(model, g, attached):
         return None  # the 2-cell route proved D(Dg) zero
     return extend_differential(model, model.differential[g.name])  # the full Leibniz D(Dg)
 
 
-def _cell_square_vanishes(model: CellModel, cell: Generator) -> bool:
+def _cell_square_vanishes(model: CellModel, cell: Generator, attached: _CellPair | None = None) -> bool:
     # True when the split D(Dg) = D_p(h) - [MC(p), g] proves the square of
-    # the 2-cell zero (see _model_checks); False when it cannot.
+    # the 2-cell zero (see _model_checks); False when it cannot.  p and h
+    # are derived from Dg and guarded, unless the builder attached them.
     context = model.context
     order = model.order
     others = [g for g in context.generators if g is not cell]
     if any(g.degree not in (-1, 0) for g in others):
         return False
-    dg = model.differential[cell.name]
     images = [model.differential[g.name] for g in others]
     vertices = {g.index for g in others if g.degree == -1}
-    p = -_right_quotient(dg, cell.index)
-    h = dg + bracket(p, context.gen(cell.name))
+    if attached is None:
+        dg = model.differential[cell.name]
+        p = -_right_quotients(dg)[cell.index]
+        h = dg + bracket(p, context.gen(cell.name))
+    else:
+        p, h = attached
     ending = _ending_in(p, vertices)
-    # p is free of g once its vertex-ending words are and it is their bracketing
-    if any(_terms_using(y, {cell.index}) for y in (h, ending, *images)):
+    # a derived p is free of g once its vertex-ending words are and it is
+    # their bracketing; an attached pair is both by construction
+    if attached is None and (
+        any(_terms_using(y, {cell.index}) for y in (h, ending, *images)) or _right_normed(ending) != p
+    ):
         return False
-    if _right_normed(ending) != p or not all(is_primitive(y, order) for y in (h, *images)):
+    if not all(is_primitive(y, order) for y in (h, *images)):
         return False
     flatness = _ending_differential(model, p, vertices, order - 1) + _product(p, ending, order - 1)
     closure = _ending_differential(model, h, vertices, order) - h * ending

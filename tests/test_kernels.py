@@ -4,9 +4,9 @@ denominators across weights, at truncation orders 3 to 6 (and 8) and in
 contexts of 1 to 17 generators (1 to 5 bits per letter of a packed
 word); the Lie-membership test against the unshuffle oracle; the JSON
 writer against ``json.dumps`` of per-term dicts; the relabelling and
-word-text kernels, which read a chunk of letters per lookup, against
-per-term oracles at every weight; and the reduced stored form, and the
-carried degree, of the result of every operation."""
+word-text kernels and the degree scan, which read a chunk of letters per
+lookup, against per-term oracles at every weight; and the reduced stored
+form, and the carried degree, of the result of every operation."""
 
 from fractions import Fraction
 from math import gcd
@@ -35,7 +35,7 @@ from dgla import (
     log_assoc,
     weight_component,
 )
-from dgla.algebra import _ending_in, _right_normed, _right_quotient, _terms_to_json, _terms_using
+from dgla.algebra import _ending_in, _right_normed, _right_quotients, _terms_to_json, _terms_using
 from dgla.models import MODEL_NAMES
 from oracles import (
     dumps_encode,
@@ -321,9 +321,10 @@ class TestFlow:
 
 
 class TestChunkKernels:
-    """The relabelling and word-text kernels read a word as its leading 1
-    to c letters and then whole chunks of c; words of every weight through
-    every letter, and drawn elements, against the per-term oracles."""
+    """The relabelling, word-text and degree-scan kernels read a word as
+    its leading 1 to c letters and then whole chunks of c; words of every
+    weight through every letter, and drawn elements, against the per-term
+    oracles."""
 
     @staticmethod
     def every_weight(ctx):
@@ -361,6 +362,26 @@ class TestChunkKernels:
             x = self.every_weight(ctx)
             assert _terms_to_json(x) == dumps_terms(x)
             assert encode(x) == dumps_encode(x)
+
+    @pytest.mark.parametrize("key", sorted(CONTEXTS))
+    def test_degree_scan_at_every_weight(self, key):
+        # every weight through the order, so words that end exactly at a
+        # chunk boundary (weights c, 2c, ...) and one letter past it: each
+        # word alone has the sum of its letters' degrees, and the element of
+        # all of them has mixed degrees unless the sums agree
+        ctx = CONTEXTS[key]
+        x = self.every_weight(ctx)
+        degrees = set()
+        for word, coeff in x.terms():
+            degree = sum(ctx.generators[i].degree for i in word)
+            assert ctx.element({word: coeff}).homogeneous_degree() == degree
+            degrees.add(degree)
+        if len(degrees) == 1:
+            assert x.homogeneous_degree() == degree
+        else:
+            with pytest.raises(GradingError) as caught:
+                x.homogeneous_degree()
+            assert str(caught.value) == f"element has mixed degrees {sorted(degrees)}"
 
     @KERNEL_SETTINGS
     @given(contexts, st.integers(-1, 1), st.data())
@@ -404,7 +425,7 @@ class TestCanonicalForm:
         results += [weight_component(x, k) for k in range(1, order + 1)]
         # the internal filters, quotients and bracketing carry degrees too
         odd = {g.index for g in ctx.generators if g.parity}
-        results += [_right_quotient(x, g.index) for g in ctx.generators]
+        results += _right_quotients(x)
         results += [_ending_in(x, odd), _terms_using(x, odd), _right_normed(x)]
         if len(ctx.generators) <= 5:  # letters of the bigon models
             model = build_named_model("bigon-a", order)

@@ -1,4 +1,5 @@
 import json
+from collections.abc import Hashable
 from dataclasses import replace
 from fractions import Fraction
 
@@ -70,6 +71,10 @@ class TestBuilders:
             with pytest.raises(TypeError):
                 table["e"] = table["f"]
         assert build_named_model("circle2", 4) is model and verify_model(model).overall
+        # and it advertises no hash it cannot compute
+        with pytest.raises(TypeError):
+            hash(model)
+        assert not isinstance(model, Hashable)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError, match="unknown model 'torus'"):
@@ -84,24 +89,68 @@ class TestBuilders:
             return original(model, x)
 
         build_named_model.cache_clear()
+        build_one_complex.cache_clear()
         monkeypatch.setattr(dgla.models, "extend_differential", counting)
-        model = build_named_model("circle2", 4)
+        model = build_named_model("circle2", 6)
         assert verify_model(model, subject="circle2").overall
         assert len(calls) == len(model.context.generators)  # one square per generator
-        # the square of a 2-cell is decided through its basepoint and
-        # holonomy, so the full Leibniz pass never runs on Dg, also for a
-        # decoded copy; a failing cell runs it exactly once, for the witness
+        # bigon-sym inherits the squares of its skeleton, the circle2
+        # instance above, and decides the square of its 2-cell through its
+        # basepoint and holonomy, so neither building nor verifying it runs
+        # a full Leibniz pass; a decoded copy squares every generator but
+        # the 2-cell, and a failing cell runs it exactly once, for the witness
         calls.clear()
         sym = build_named_model("bigon-sym", 6)
         assert verify_model(sym).overall
-        assert calls and sym.differential["g"] not in calls
+        assert calls == []
         e, f = sym.context.gen("e"), sym.context.gen("f")
         broken = replace(sym, differential={**sym.differential, "g": sym.differential["g"] + bracket(e, f)})
         _, decoded = decode_model(encode_model(sym, "bigon-sym"))
         for copy, passes in ((decoded, True), (broken, False)):
             calls.clear()
             assert verify_model(copy).overall is passes
+            assert len(calls) == len(sym.context.generators) - passes
             assert sum(x == copy.differential["g"] for x in calls) == (0 if passes else 1)
+
+    def test_cell_model_inherits_its_skeleton_checks(self, monkeypatch):
+        # building bigon-sym after circle2 (and its symmetric data) derives
+        # no edge series, squares and flattens no generator of the skeleton,
+        # and brackets nothing while the 2-cell's checks run
+        build_named_model.cache_clear()
+        build_one_complex.cache_clear()
+        build_named_model("circle2", 6)
+        compute_symmetric_data(6)
+        calls = []
+
+        def counted(name, original):
+            def call(*args):
+                calls.append(name)
+                return original(*args)
+
+            return call
+
+        for module, name in (
+            (dgla.models, "edge_differential"),
+            (dgla.models, "extend_differential"),
+            (dgla.calculus, "extend_differential"),  # the flatness defect's
+            (dgla.models, "_right_normed"),
+        ):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        sym = build_named_model("bigon-sym", 6)
+        assert calls == []
+        assert verify_model(sym).overall
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_built_report_equals_the_full_route(self, name, order):
+        # the builder's inherited checks and attached cell data change no
+        # name, verdict or witness: a decoded and a replaced copy, which run
+        # every check on the derived route, report the same
+        model = build_named_model(name, order)
+        _, decoded = decode_model(encode_model(model, name))
+        for copy in (decoded, replace(model)):
+            assert "_checks" not in vars(copy)
+            assert verify_model(copy).checks == verify_model(model).checks
 
     def test_builder_rejects_a_model_failing_its_checks(self, monkeypatch):
         original = dgla.models.edge_differential
@@ -111,6 +160,7 @@ class TestBuilders:
             return original(context, edge, source, target) + extra
 
         monkeypatch.setattr(dgla.models, "edge_differential", stray_term)
+        build_one_complex.cache_clear()  # the interval at order 4 may be built already
         with pytest.raises(RuntimeError, match=r"d_squared_zero\[e\]"):
             build_one_complex(OneComplex(("a", "b"), (("e", "a", "b"),)), 4)
 
@@ -421,6 +471,21 @@ class TestCellSquare:
         failed = {c.name: c for c in verify_model(mutated).failures()}
         square = extend_differential(mutated, mutated.differential["g"])
         assert square and failed["d_squared_zero[g]"].witness == square
+        # the basepoint and holonomy a builder would attach to the mutated
+        # cell, where they keep its contract (no letter g): the route that
+        # reads them, with no derivation and no bracketing guard, refuses too
+        x = symdata.x.in_context(ctx)
+        p, h = x - weight_component(x, ctx.max_weight), symdata.q.in_context(ctx)
+        attached = {
+            "holonomy-weight-2": (p, h + term),
+            "holonomy-weight-N": (p, h + term),
+            "basepoint": (p - bracket(e, a), h),
+            "bare-basepoint": (p - bracket(e, a), ctx.zero()),
+            "non-lie": (p, h + term),
+        }.get(perturbation)
+        if attached is not None:
+            assert mutated.differential["g"] == attached[1] - bracket(attached[0], g)
+            assert not dgla.models._cell_square_vanishes(mutated, ctx.generator("g"), attached)
 
     @pytest.mark.parametrize(
         "vertices, cell", [((), True), (("a",), True), ((), False)], ids=["cell", "cell-and-vertex", "no-cell"]
@@ -942,6 +1007,13 @@ class TestGenericOneComplex:
         )
         model = build_one_complex(theta, 5)
         assert verify_model(model).overall
+
+    def test_equal_complexes_share_one_model(self):
+        # the builder is memoized per complex and order; lists are kept as tuples
+        listed = OneComplex(["a", "b"], [["e", "a", "b"]])
+        interval = OneComplex(("a", "b"), (("e", "a", "b"),))
+        assert listed == interval
+        assert build_one_complex(listed, 4) is build_one_complex(interval, 4)
 
     def test_wedge_of_loops_verifies(self):
         wedge = OneComplex(("a",), (("e", "a", "a"), ("f", "a", "a")))
