@@ -458,17 +458,14 @@ class AlgebraElement:
         )
 
     def __mul__(self, other: AlgebraElement | int | Fraction) -> AlgebraElement:
+        """Associative product, truncated at the context's max weight, or a scaling."""
         if isinstance(other, AlgebraElement):
             self._require_same_context(other)
-            return self._concat(other)
+            return _product(self, other, self.context.max_weight)
         return self._scaled(_as_fraction(other))
 
     def __rmul__(self, scalar: int | Fraction) -> AlgebraElement:
         return self._scaled(_as_fraction(scalar))
-
-    def _concat(self, other: AlgebraElement) -> AlgebraElement:
-        """Associative product, truncated at the context's max weight."""
-        return _product(self, other, self.context.max_weight)
 
     def in_context(self, context: AlgebraContext) -> AlgebraElement:
         """Re-express this element in another context.

@@ -23,7 +23,8 @@ instead of recomputing it.  A model with a 2-cell is built on the
 verified model of its 1-skeleton: it inherits the skeleton's checks and
 computes only the 2-cell's, deciding its square from the basepoint and
 holonomy the builder attached.  Decoded and :func:`dataclasses.replace`
-copies run every check, deriving the basepoint and holonomy from ``Dg``.
+copies run every check, and take the full Leibniz square of every
+generator.
 :func:`build_one_complex`, :func:`build_named_model` and
 :func:`compute_symmetric_data` are memoized; models are immutable, so
 the cached instances are safe to share.
@@ -54,7 +55,6 @@ from .algebra import (
     _load_json,
     _product,
     _right_normed,
-    _right_quotients,
     _terms_to_json,
     _terms_using,
     apply_morphism,
@@ -233,9 +233,9 @@ def _verified(model: CellModel) -> CellModel:
 # A 2-cell's data: its basepoint and the holonomy of its boundary loop,
 # built in the context of the skeleton it is attached to, so neither has
 # the letter g.  The basepoint is a generator or a _right_normed output,
-# so it is the right-normed bracketing of its words that end in a vertex:
-# the 2-cell's square is decided from this pair with neither the g-freeness
-# scans nor the bracketing guard (_cell_square_vanishes).
+# so it is the right-normed bracketing of its words that end in a vertex.
+# These are what the 2-cell route (_cell_square_vanishes) needs of the
+# pair, so only a builder, which holds it, can take that route.
 _CellPair = tuple[AlgebraElement, AlgebraElement]
 _CellData = Callable[[AlgebraContext], _CellPair]
 
@@ -284,7 +284,7 @@ def _build(complex_: OneComplex, order: int, cell: _CellData | None) -> CellMode
     differential["g"] = holonomy - bracket(basepoint, context.gen("g"))
     closure["g"] = frozenset(context.names)
     model = CellModel(context, boundary0, differential, closure)
-    own = _model_checks(model, (context.generator("g"),), (basepoint, holonomy))
+    own = _model_checks(model, (basepoint, holonomy))
     # the report order of _model_checks: family by family, g last in each
     checks = sorted(
         skeleton._checks + own, key=lambda check: _FAMILIES.index(check.name.partition("[")[0])
@@ -423,15 +423,14 @@ def verify_model(model: CellModel, subject: str = "model") -> VerificationReport
     The checks run once per model instance, so a model a builder returns
     (and so has verified) is reported without recomputing them.
 
-    The square of a 2-cell ``g`` with ``Dg = h - [p, g]`` (basepoint
-    ``p``, holonomy ``h``) is decided without expanding ``D(Dg)``, from
-    the words that end in a vertex of ``D_p(h)`` and ``MC(p)``, when the
-    cell has that shape and passes a Lie-membership guard.  Otherwise, or
-    when that route cannot prove the square zero, the full Leibniz
-    ``D(Dg)`` gives the verdict and the witness; :func:`_model_checks`
-    gives the argument.  A builder hands the route the ``p`` and ``h`` it
-    built ``Dg`` from; a decoded or replaced copy has them derived from
-    ``Dg`` and guarded.
+    The square of a built 2-cell ``g`` with ``Dg = h - [p, g]``
+    (basepoint ``p``, holonomy ``h``, both handed over by the builder) is
+    decided without expanding ``D(Dg)``, from the words that end in a
+    vertex of ``D_p(h)`` and ``MC(p)``, when it passes a Lie-membership
+    guard; :func:`_model_checks` gives the argument.  Otherwise, when
+    that route cannot prove the square zero, and for every generator of
+    a decoded or replaced copy, the full Leibniz ``D(Dg)`` gives the
+    verdict and the witness.
     """
     return VerificationReport(subject, model.order, model._checks)
 
@@ -440,64 +439,57 @@ def verify_model(model: CellModel, subject: str = "model") -> VerificationReport
 _FAMILIES = ("d_squared_zero", "vertex_flatness", "boundary_matches_weight1", "locality")
 
 
-def _model_checks(
-    model: CellModel, generators: tuple[Generator, ...] | None = None, attached: _CellPair | None = None
-) -> tuple[ModelCheck, ...]:
+def _model_checks(model: CellModel, attached: _CellPair | None = None) -> tuple[ModelCheck, ...]:
     """Every check of :func:`verify_model`, in report order: of every
-    generator, or of ``generators`` only (a builder's 2-cell).
+    generator, or with ``attached``, the basepoint and holonomy a builder
+    made ``Dg`` from, of its 2-cell ``g`` only.
 
     ``d_squared_zero`` of a generator is ``D(D(g))`` by the Leibniz rule
-    (:func:`extend_differential`), except that the square of a 2-cell is
-    first decided through its basepoint and holonomy.  Write its
-    differential as ``Dg = h - [p, g]`` with ``p = -(Dg / g)`` (the right
-    quotient) and ``h = Dg + [p, g]``.  Since ``D[p, g] = [Dp, g] -
-    [p, Dg]`` and ``[p, [p, g]] = 1/2 [[p, p], g]`` for odd ``p``, the
-    tensor algebra gives, with no Lie hypothesis,
+    (:func:`extend_differential`), except that the square of a builder's
+    2-cell is first decided through its basepoint ``p`` and holonomy
+    ``h``.  Its differential is ``Dg = h - [p, g]``.  Since ``D[p, g] =
+    [Dp, g] - [p, Dg]`` and ``[p, [p, g]] = 1/2 [[p, p], g]`` for odd
+    ``p``, the tensor algebra gives, with no Lie hypothesis,
     ``D(Dg) = D_p(h) - [MC(p), g]``, where ``D_p(h) = Dh + [p, h]`` and
     ``MC(p) = Dp + 1/2 [p, p]``.
 
-    The shape check: ``g`` has degree 1 and every other generator degree
-    -1 (a vertex) or 0 (an edge), and ``h``, ``p`` and the other
-    differentials have no letter ``g``; every differential has degree one
-    less than its generator's in any :class:`CellModel`.  Then the first
-    summand has no ``g`` and every word of the second exactly one, so
-    ``D(Dg)`` vanishes through weight ``N`` exactly when ``D_p(h)`` does
-    through ``N`` and ``MC(p)`` through ``N - 1``.  The degrees of the
-    images make ``D_p(h)`` and ``MC(p)`` homogeneous of degree -1 and -2,
-    which the projection below needs: an edge image of degree 0 would put
-    vertex-free words into ``D_p(h)``, which no vertex-ending word sees.
+    The builder's contract (see ``_CellData``): every other generator is
+    a vertex (degree -1) or an edge (degree 0) of the skeleton, whose
+    differentials, like ``p`` and ``h``, have no letter ``g``, and ``p``
+    is the right-normed bracketing of its words that end in a vertex (a
+    Lie element by construction).  Then the first summand has no ``g``
+    and every word of the second exactly one, so ``D(Dg)`` vanishes
+    through weight ``N`` exactly when ``D_p(h)`` does through ``N`` and
+    ``MC(p)`` through ``N - 1``.  Every differential has degree one less
+    than its generator's, so ``D_p(h)`` and ``MC(p)`` are homogeneous of
+    degree -1 and -2, which the projection below needs: an edge image of
+    degree 0 would put vertex-free words into ``D_p(h)``, which no
+    vertex-ending word sees.
 
-    The guard: ``p`` equals the right-normed bracketing of its words that
-    end in a vertex (a Lie element by construction), and ``h`` and the
-    other differentials pass :func:`~dgla.algebra.is_primitive` through
-    ``N``.  Then ``D_p(h)`` and ``MC(p)`` are Lie elements of degree -1
-    and -2 in the vertices and edges, and such an element is zero exactly
-    when its words that end in a vertex vanish.  Having nonzero degree,
-    it lies in the ideal generated by the vertices, which by Lazard
-    elimination is the free Lie algebra on the ad-words
-    ``ad_{y1}...ad_{yk}(s)`` (edges ``y``, a vertex ``s``); so it lies in
-    the subalgebra ``T+(M)`` those words generate.  By
-    Poincare-Birkhoff-Witt, multiplication ``T(M) (x) T(edges) -> T`` is
-    bijective, so ``T+(M)`` meets the words that end in an edge only in
-    0 (Reutenauer, *Free Lie Algebras*, 1993).  The vertex-ending parts
-    come from the right Fox rule (``calculus._ending_differential``):
-    ``end(MC p) = end(Dp) + p end(p)`` and, as ``h`` is a series in the
-    edges, ``end(D_p h) = end(Dh) - h end(p)``.
+    The guard: ``h`` and the other differentials pass
+    :func:`~dgla.algebra.is_primitive` through ``N``.  Then ``D_p(h)``
+    and ``MC(p)`` are Lie elements of degree -1 and -2 in the vertices
+    and edges, and such an element is zero exactly when its words that
+    end in a vertex vanish.  Having nonzero degree, it lies in the ideal
+    generated by the vertices, which by Lazard elimination is the free
+    Lie algebra on the ad-words ``ad_{y1}...ad_{yk}(s)`` (edges ``y``, a
+    vertex ``s``); so it lies in the subalgebra ``T+(M)`` those words
+    generate.  By Poincare-Birkhoff-Witt, multiplication ``T(M) (x)
+    T(edges) -> T`` is bijective, so ``T+(M)`` meets the words that end
+    in an edge only in 0 (Reutenauer, *Free Lie Algebras*, 1993).  The
+    vertex-ending parts come from the right Fox rule
+    (``calculus._ending_differential``): ``end(MC p) = end(Dp) + p
+    end(p)`` and, as ``h`` is a series in the edges, ``end(D_p h) =
+    end(Dh) - h end(p)``.
 
-    When the shape check or the guard fails, or either part is nonzero,
-    the full ``D(Dg)`` decides the check and is its witness, so every
-    failure's witness is the full square.
-
-    A builder passes as ``attached`` the basepoint and holonomy it made
-    ``Dg`` from (see ``_CellData``): then ``p`` and ``h`` are read, not
-    derived, ``p`` is the bracketing of its vertex-ending words and
-    neither has the letter ``g`` by construction, so the g-freeness scans
-    and the bracketing half of the guard are skipped.  DSW still runs on
-    ``h`` and the other differentials, the other differentials are built
-    without ``g`` too, and both parts still decide.
+    When the guard fails or either part is nonzero, the full ``D(Dg)``
+    decides the check and is its witness, so every failure's witness is
+    the full square.  A model no builder hands a pair with, decoded or
+    replaced, takes the full square of every generator: its 2-cell may
+    have any shape, and the Leibniz rule needs none.
     """
     context = model.context
-    generators = context.generators if generators is None else generators
+    generators = (context.generator("g"),) if attached else context.generators
     checks = [_verdict(f"d_squared_zero[{g.name}]", _square(model, g, attached)) for g in generators]
     for g in generators:
         if g.degree == -1:
@@ -518,37 +510,22 @@ def _verdict(name: str, witness: AlgebraElement | None) -> ModelCheck:
 
 
 def _square(model: CellModel, g: Generator, attached: _CellPair | None) -> AlgebraElement | None:
-    if g.degree == 1 and _cell_square_vanishes(model, g, attached):
+    if attached and _cell_square_vanishes(model, attached):
         return None  # the 2-cell route proved D(Dg) zero
     return extend_differential(model, model.differential[g.name])  # the full Leibniz D(Dg)
 
 
-def _cell_square_vanishes(model: CellModel, cell: Generator, attached: _CellPair | None = None) -> bool:
+def _cell_square_vanishes(model: CellModel, attached: _CellPair) -> bool:
     # True when the split D(Dg) = D_p(h) - [MC(p), g] proves the square of
-    # the 2-cell zero (see _model_checks); False when it cannot.  p and h
-    # are derived from Dg and guarded, unless the builder attached them.
-    context = model.context
+    # the builder's 2-cell g zero (see _model_checks); False when it cannot
+    p, h = attached
     order = model.order
-    others = [g for g in context.generators if g is not cell]
-    if any(g.degree not in (-1, 0) for g in others):
-        return False
+    others = [g for g in model.context.generators if g.name != "g"]
     images = [model.differential[g.name] for g in others]
-    vertices = {g.index for g in others if g.degree == -1}
-    if attached is None:
-        dg = model.differential[cell.name]
-        p = -_right_quotients(dg)[cell.index]
-        h = dg + bracket(p, context.gen(cell.name))
-    else:
-        p, h = attached
-    ending = _ending_in(p, vertices)
-    # a derived p is free of g once its vertex-ending words are and it is
-    # their bracketing; an attached pair is both by construction
-    if attached is None and (
-        any(_terms_using(y, {cell.index}) for y in (h, ending, *images)) or _right_normed(ending) != p
-    ):
-        return False
     if not all(is_primitive(y, order) for y in (h, *images)):
         return False
+    vertices = {g.index for g in others if g.degree == -1}
+    ending = _ending_in(p, vertices)
     flatness = _ending_differential(model, p, vertices, order - 1) + _product(p, ending, order - 1)
     closure = _ending_differential(model, h, vertices, order) - h * ending
     return not flatness and not closure

@@ -97,8 +97,8 @@ class TestBuilders:
         # bigon-sym inherits the squares of its skeleton, the circle2
         # instance above, and decides the square of its 2-cell through its
         # basepoint and holonomy, so neither building nor verifying it runs
-        # a full Leibniz pass; a decoded copy squares every generator but
-        # the 2-cell, and a failing cell runs it exactly once, for the witness
+        # a full Leibniz pass; a decoded or replaced copy, passing or not,
+        # squares every generator once, the 2-cell included
         calls.clear()
         sym = build_named_model("bigon-sym", 6)
         assert verify_model(sym).overall
@@ -109,8 +109,7 @@ class TestBuilders:
         for copy, passes in ((decoded, True), (broken, False)):
             calls.clear()
             assert verify_model(copy).overall is passes
-            assert len(calls) == len(sym.context.generators) - passes
-            assert sum(x == copy.differential["g"] for x in calls) == (0 if passes else 1)
+            assert calls == [copy.differential[name] for name in copy.context.names]
 
     def test_cell_model_inherits_its_skeleton_checks(self, monkeypatch):
         # building bigon-sym after circle2 (and its symmetric data) derives
@@ -143,9 +142,10 @@ class TestBuilders:
     @pytest.mark.parametrize("order", range(1, 9))
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_built_report_equals_the_full_route(self, name, order):
-        # the builder's inherited checks and attached cell data change no
-        # name, verdict or witness: a decoded and a replaced copy, which run
-        # every check on the derived route, report the same
+        # the builder's inherited checks and 2-cell route change no name,
+        # verdict or witness: a decoded and a replaced copy, which run every
+        # check and take the full Leibniz square of every generator, report
+        # the same
         model = build_named_model(name, order)
         _, decoded = decode_model(encode_model(model, name))
         for copy in (decoded, replace(model)):
@@ -435,6 +435,13 @@ class TestLieCertificate:
         assert not is_primitive(broken, context.max_weight)
 
 
+def _attached(model, name):
+    # the basepoint and holonomy the builder made the 2-cell of a catalogued
+    # model from, moved into the model's context
+    skeleton = build_one_complex(dgla.models._CATALOGUE[name].skeleton, model.order)
+    return tuple(y.in_context(model.context) for y in dgla.models._CATALOGUE[name].cell(skeleton.context))
+
+
 class TestCellSquare:
     @pytest.mark.parametrize("order", range(1, 11))
     @pytest.mark.parametrize("name", ["disc1", "bigon-a", "bigon-b", "bigon-sym"])
@@ -442,7 +449,7 @@ class TestCellSquare:
         model = build_named_model(name, order)
         full = extend_differential(model, model.differential["g"]).is_zero()
         passed = {c.name: c.passed for c in verify_model(model).checks}["d_squared_zero[g]"]
-        assert dgla.models._cell_square_vanishes(model, model.context.generator("g")) is full
+        assert dgla.models._cell_square_vanishes(model, _attached(model, name)) is full
         assert passed is full
 
     @pytest.mark.parametrize(
@@ -462,20 +469,18 @@ class TestCellSquare:
             # no holonomy: D_p(0) = 0, so only the flatness half can fail
             "bare-basepoint": bracket(bracket(e, a), g) - symdata.q.in_context(ctx),
             "non-lie": e * f,  # fails the Lie guard
-            "off-shape": bracket(bracket(g, a), e),  # fails the shape check
+            "off-shape": bracket(bracket(g, a), e),  # no builder's shape: only the full square sees it
         }[perturbation]
         mutated = replace(
             bigon_sym, differential={**bigon_sym.differential, "g": bigon_sym.differential["g"] + term}
         )
-        assert not dgla.models._cell_square_vanishes(mutated, ctx.generator("g"))
         failed = {c.name: c for c in verify_model(mutated).failures()}
         square = extend_differential(mutated, mutated.differential["g"])
         assert square and failed["d_squared_zero[g]"].witness == square
         # the basepoint and holonomy a builder would attach to the mutated
         # cell, where they keep its contract (no letter g): the route that
-        # reads them, with no derivation and no bracketing guard, refuses too
-        x = symdata.x.in_context(ctx)
-        p, h = x - weight_component(x, ctx.max_weight), symdata.q.in_context(ctx)
+        # reads them refuses too
+        p, h = _attached(bigon_sym, "bigon-sym")
         attached = {
             "holonomy-weight-2": (p, h + term),
             "holonomy-weight-N": (p, h + term),
@@ -485,7 +490,29 @@ class TestCellSquare:
         }.get(perturbation)
         if attached is not None:
             assert mutated.differential["g"] == attached[1] - bracket(attached[0], g)
-            assert not dgla.models._cell_square_vanishes(mutated, ctx.generator("g"), attached)
+            assert not dgla.models._cell_square_vanishes(mutated, attached)
+
+    @pytest.mark.parametrize("order", range(2, 11))
+    @pytest.mark.parametrize("name", ["bigon-a", "bigon-sym"])
+    def test_a_non_lie_holonomy_is_refused_by_its_guard_alone(self, monkeypatch, name, order):
+        # t = e^(N-1) (e + f) is of weight N and not a Lie element, and its
+        # right quotients by e and f agree, so both vertex-ending halves of
+        # the route vanish while the full square does not: only the Lie
+        # guard on h stands between the route and a wrong verdict
+        model = build_named_model(name, order)
+        e, f = model.context.gen("e"), model.context.gen("f")
+        t = e + f
+        for _ in range(order - 1):
+            t = e * t
+        p, h = _attached(model, name)
+        mutated = replace(model, differential={**model.differential, "g": model.differential["g"] + t})
+        assert mutated.differential["g"] == h + t - bracket(p, model.context.gen("g"))
+        assert not dgla.models._cell_square_vanishes(mutated, (p, h + t))
+        failed = {c.name: c for c in verify_model(mutated).failures()}
+        square = extend_differential(mutated, mutated.differential["g"])
+        assert square and failed["d_squared_zero[g]"].witness == square
+        monkeypatch.setattr(dgla.models, "is_primitive", lambda y, order: True)
+        assert dgla.models._cell_square_vanishes(mutated, (p, h + t))
 
     @pytest.mark.parametrize(
         "vertices, cell", [((), True), (("a",), True), ((), False)], ids=["cell", "cell-and-vertex", "no-cell"]
@@ -508,10 +535,10 @@ class TestCellSquare:
             CellModel(ctx, boundary0, differential, closure)
         assert str(caught.value) == "De must have degree -1, got 0 (at differential.e)"
 
-    def test_second_cell_takes_the_full_square(self):
-        # g and h are both attached along the disc's loop, so the other
-        # generators of either are not all vertices and edges: the route
-        # refuses, and the full square of each is zero
+    def test_second_cell_takes_the_full_square(self, monkeypatch):
+        # g and h are both attached along the disc's loop, a model no
+        # builder makes: neither cell takes the 2-cell route, and the full
+        # Leibniz square of each is zero
         ctx = AlgebraContext([("a", -1), ("e", 0), ("g", 1), ("h", 1)], 4)
         a, e = ctx.gen("a"), ctx.gen("e")
         differential = {"a": Fraction(-1, 2) * bracket(a, a), "e": bracket(e, a)}
@@ -522,8 +549,7 @@ class TestCellSquare:
             differential,
             {name: frozenset(differential) for name in differential},
         )
-        for cell in ("g", "h"):
-            assert not dgla.models._cell_square_vanishes(model, ctx.generator(cell))
+        monkeypatch.setattr(dgla.models, "_cell_square_vanishes", None)
         assert verify_model(model).overall
 
 
