@@ -20,20 +20,23 @@ the integers is the canonical order (weight, then lexicographic).  The
 form is unique, so equality is a plain comparison, and every operation
 computes in integers: sums rescale to the lcm of the denominators,
 products multiply numerators and denominators, and the product kernels
-pair only the weight buckets that fit under the truncation.  One kernel
-repacks words for every generator relabelling, a :class:`GeneratorMorphism`
-or a move to another context, a chunk of letters per lookup in a table of
-``(sign, packed image)`` filled as chunks occur; the JSON writer reads the
-names of a word's letters the same way.  This module is the only one that
-knows the format.  :class:`fractions.Fraction` values
-are read in only by :meth:`AlgebraContext.element` and built only by
-:meth:`AlgebraElement.terms` and :meth:`AlgebraElement.coefficient`,
-which the display code reads (JSON is written and read from the integers);
-every scalar at the API is an :class:`int` or :class:`Fraction`, and floats
-are rejected.  All types are immutable after construction and safe to share
-between threads (a chunk table only gains entries, each the same whichever
-thread fills it), and the module-level operations are pure functions:
-identical inputs always produce identical canonical output.
+pair only the weight buckets that fit under the truncation.  Three
+kernels read words a chunk of letters per lookup, each in a table filled
+as chunks occur: the degree scan sums the letters' degrees, one kernel
+repacks words for every generator relabelling (a :class:`GeneratorMorphism`
+or a move to another context) from ``(sign, packed image)`` entries, and
+the JSON writer joins the names of a word's letters.  One reader,
+:class:`_ChunkTable`, picks the chunk length and cuts words into chunks
+for all three.  This module is the only one that knows the format.
+:class:`fractions.Fraction` values are read in only by
+:meth:`AlgebraContext.element` and built only by :meth:`AlgebraElement.terms`
+and :meth:`AlgebraElement.coefficient`, which the display code reads (JSON
+is written and read from the integers); every scalar at the API is an
+:class:`int` or :class:`Fraction`, and floats are rejected.  All types are
+immutable after construction and safe to share between threads (a chunk
+table only gains entries, each the same whichever thread fills it), and the
+module-level operations are pure functions: identical inputs always produce
+identical canonical output.
 """
 
 from __future__ import annotations
@@ -137,7 +140,6 @@ class AlgebraContext:
         "_degrees",
         "_parities",
         "_bits",
-        "_chunk",
         "_no_terms",
         "_signature",
     )
@@ -167,11 +169,6 @@ class AlgebraContext:
         self._parities = tuple(g.parity for g in gens)
         # bits per letter of a packed word
         self._bits = max(1, (len(gens) - 1).bit_length())
-        # letters per lookup of the chunk tables: the largest c with n**c
-        # entries at most _CHUNK_ENTRIES, and no more than the order
-        self._chunk = 1
-        while self._chunk < max_weight and len(gens) ** (self._chunk + 1) <= _CHUNK_ENTRIES:
-            self._chunk += 1
         self._no_terms = (_NO_TERMS,) * (max_weight + 1)
         self._signature = (tuple((g.name, g.degree) for g in gens), max_weight)
 
@@ -276,6 +273,9 @@ class AlgebraContext:
     def __hash__(self) -> int:
         return hash(self._signature)
 
+    def __reduce__(self) -> tuple:
+        return AlgebraContext, self._signature
+
     def __repr__(self) -> str:
         gens = ", ".join(f"{g.name}:{g.degree}" for g in self.generators)
         return f"AlgebraContext([{gens}], max_weight={self.max_weight})"
@@ -299,12 +299,14 @@ class AlgebraElement:
     every empty one is the same read-only mapping.  All arithmetic
     returns new elements.
 
-    ``_degree`` keeps the result of :meth:`homogeneous_degree` once
-    known.  An operation whose result degree follows from its inputs'
-    known degrees sets it on a nonzero result, so no scan is needed:
-    generators, scaling and negation, the product and :func:`bracket`,
-    sums (through ``_LinearSum``, when every summand has the same known
-    degree), :meth:`in_context` and :func:`apply_morphism`,
+    ``_degree`` is the degree of every word, or ``None`` while it is not
+    known and on the zero element; :meth:`homogeneous_degree` scans the
+    words, a chunk of letters per lookup, only while it is ``None``, and
+    keeps what it finds.  An operation whose result degree follows from
+    its inputs' known degrees sets it on a nonzero result, so no scan is
+    needed: generators, scaling and negation, the product and
+    :func:`bracket`, sums (through ``_LinearSum``, when every summand has
+    the same known degree), :meth:`in_context` and :func:`apply_morphism`,
     :func:`weight_component`, the right quotients by the letters, the filters
     ``_ending_in`` and ``_terms_using``, the right-normed bracketing, and
     the Leibniz kernel of a model's differential, which lowers it by one.
@@ -349,8 +351,7 @@ class AlgebraElement:
         self.context = context
         self._den = den // common
         self._buckets = kept
-        if degree is not None and any(kept):
-            self._degree = degree
+        self._degree = degree if degree is not None and any(kept) else None
 
     # -- inspection ---------------------------------------------------
 
@@ -380,30 +381,18 @@ class AlgebraElement:
         The zero element is homogeneous of every degree.  Mixed-degree
         elements raise :class:`GradingError`.
         """
-        try:
-            return self._degree  # computed on the first call
-        except AttributeError:
-            pass
-        context = self.context
-        sums = _degree_table(context)
-        chunk = context._chunk
-        step = context._bits * chunk
-        mask, flag = (1 << step) - 1, 1 << step
-        degrees: set[int] = set()
-        for k, bucket in enumerate(self._buckets):
-            if not bucket:
-                continue
-            # the leading 1..chunk letters, then whole chunks
-            top = step * ((k - 1) // chunk)
-            shifts = range(top - step, -1, -step)
-            for w in bucket:
-                degree = sums[w >> top]
-                for shift in shifts:
-                    degree += sums[w >> shift & mask | flag]
-                degrees.add(degree)
-        if len(degrees) > 1:
-            raise GradingError(f"element has mixed degrees {sorted(degrees)}")
-        self._degree = degrees.pop() if degrees else None
+        if self._degree is None:  # a zero element has no word to scan
+            sums = _degree_table(self.context)
+            degrees: set[int] = set()
+            for k, bucket in enumerate(self._buckets):
+                if bucket:
+                    total, *chunks = sums.columns(bucket, k)
+                    for column in chunks:
+                        total = [a + b for a, b in zip(total, column)]
+                    degrees.update(total)
+            if len(degrees) > 1:
+                raise GradingError(f"element has mixed degrees {sorted(degrees)}")
+            self._degree = degrees.pop() if degrees else None
         return self._degree
 
     def is_zero(self) -> bool:
@@ -454,7 +443,7 @@ class AlgebraElement:
             self.context,
             [{w: n * factor for w, n in bucket.items()} if bucket else bucket for bucket in self._buckets],
             self._den * scalar.denominator,
-            _known_degree(self),
+            self._degree,
         )
 
     def __mul__(self, other: AlgebraElement | int | Fraction) -> AlgebraElement:
@@ -494,6 +483,9 @@ class AlgebraElement:
             raise ContextMismatchError(f"target context lacks generators {names}")
         return _relabel(self, context, table)
 
+    def __reduce__(self) -> tuple:  # copies go through the constructor, from plain dicts
+        return AlgebraElement, (self.context, [dict(b) for b in self._buckets], self._den, self._degree)
+
     def __repr__(self) -> str:
         text = format_element(self)
         if len(text) > 120:
@@ -508,12 +500,6 @@ _NO_TERMS: Mapping[int, int] = MappingProxyType({})
 
 # the most words of one length that a letter-chunk table holds
 _CHUNK_ENTRIES = 4096
-
-
-def _known_degree(x: AlgebraElement) -> int | None:
-    """The degree of ``x`` if it is known without a scan; ``None`` when it is
-    not, or when ``x`` is zero."""
-    return getattr(x, "_degree", None)
 
 
 # -- integer kernels on packed words ------------------------------------------
@@ -561,7 +547,7 @@ def _product(x: AlgebraElement, y: AlgebraElement, top: int) -> AlgebraElement:
     out = list(context._no_terms[: top + 1])
     _add_products(out, x._buckets, y._buckets, context._bits, 1)
     out.extend(context._no_terms[top + 1 :])
-    p, q = _known_degree(x), _known_degree(y)
+    p, q = x._degree, y._degree
     return AlgebraElement(context, out, x._den * y._den, None if p is None or q is None else p + q)
 
 
@@ -588,7 +574,7 @@ def _terms_using(x: AlgebraElement, letters: Collection[int]) -> AlgebraElement:
     for k, bucket in enumerate(x._buckets if letters else ()):  # no letters: no terms
         shifts = range(0, bits * k, bits)
         out[k] = {w: n for w, n in bucket.items() if any(w >> shift & mask in letters for shift in shifts)}
-    return AlgebraElement(context, out, x._den, _known_degree(x))
+    return AlgebraElement(context, out, x._den, x._degree)
 
 
 def _ending_in(x: AlgebraElement, letters: Collection[int]) -> AlgebraElement:
@@ -596,7 +582,7 @@ def _ending_in(x: AlgebraElement, letters: Collection[int]) -> AlgebraElement:
     context = x.context
     mask = (1 << context._bits) - 1
     out = [{w: n for w, n in bucket.items() if w & mask in letters} for bucket in x._buckets]
-    return AlgebraElement(context, out, x._den, _known_degree(x))
+    return AlgebraElement(context, out, x._den, x._degree)
 
 
 def _right_quotients(x: AlgebraElement) -> list[AlgebraElement]:
@@ -618,7 +604,7 @@ def _right_quotients(x: AlgebraElement) -> list[AlgebraElement]:
         for out, terms in zip(outs, split):
             if terms:
                 out[k - 1] = terms
-    degree = _known_degree(x)
+    degree = x._degree
     return [
         AlgebraElement(context, out, x._den, None if degree is None else degree - context._degrees[letter])
         for letter, out in zip(letters, outs)
@@ -626,24 +612,31 @@ def _right_quotients(x: AlgebraElement) -> list[AlgebraElement]:
 
 
 class _ChunkTable(dict):
-    """A letter map read a chunk of letters at a time.
+    """The one reader of packed words a chunk of letters at a time.
 
-    It maps a packed word of 1 to ``_chunk`` letters of its context to
-    the fold of its letters' entries by ``extend``, from ``empty`` for the
-    empty word.  A kernel reads a word's leading letters as one key, and
-    each following run of ``_chunk`` letters as a key once a sentinel bit
-    is put above it.  Entries are filled on first use, each from the entry
-    of its word less the last letter, so only the chunks that occur are
-    built.
+    It maps a packed word of 1 to ``chunk`` letters of its context to the
+    fold of its letters' entries by ``extend``, from ``empty`` for the empty
+    word.  ``chunk`` is the largest c with n**c at most ``_CHUNK_ENTRIES``
+    for the context's n generators, and no more than its order.
+    :meth:`columns` reads a word's leading 1 to ``chunk`` letters as one
+    key, and each following run of ``chunk`` letters as a key once a
+    sentinel bit is put above it; the degree scan, the relabelling and the
+    JSON writer read words only through it, so the layout is decided here
+    alone.  Entries are filled on first use, each from the entry of its word
+    less the last letter, so only the chunks that occur are built.
     """
 
-    __slots__ = ("bits", "entries", "extend")
+    __slots__ = ("bits", "chunk", "entries", "extend")
 
     def __init__(
         self, context: AlgebraContext, entries: Sequence[object], empty: object, extend: Callable
     ) -> None:
         super().__init__({1: empty})
         self.bits = context._bits
+        chunk, n = 1, len(context.generators)
+        while chunk < context.max_weight and n ** (chunk + 1) <= _CHUNK_ENTRIES:
+            chunk += 1
+        self.chunk = chunk
         self.entries = entries  # per letter index
         self.extend = extend
 
@@ -651,6 +644,15 @@ class _ChunkTable(dict):
         bits = self.bits
         value = self[word] = self.extend(self[word >> bits], self.entries[word & ((1 << bits) - 1)])
         return value
+
+    def columns(self, words: Iterable[int], k: int) -> list[list]:
+        """The entries of the weight-``k`` ``words``: one list per chunk,
+        leading chunk first, each in the order of ``words``."""
+        step = self.bits * self.chunk
+        top = step * ((k - 1) // self.chunk)
+        mask, flag = (1 << step) - 1, 1 << step
+        rest = ([self[w >> shift & mask | flag] for w in words] for shift in range(top - step, -1, -step))
+        return [[self[w >> top] for w in words], *rest]
 
 
 @lru_cache(maxsize=64)
@@ -682,25 +684,21 @@ def _relabel(
     kept word must have an entry in ``table``.  The map keeps degrees.
     """
     images = _relabel_table(x.context, context, tuple(table))
-    chunk = x.context._chunk
-    step, new_step = x.context._bits * chunk, context._bits * chunk
-    mask, flag = (1 << step) - 1, 1 << step
-    out = context._empty_buckets()
+    shift = context._bits * images.chunk  # the width of a whole chunk's image
+    out = list(context._no_terms)
     for k, bucket in enumerate(x._buckets[: context.max_weight + 1]):
         if not bucket:
             continue
-        # the leading 1..chunk letters, then whole chunks
-        top = step * ((k - 1) // chunk)
-        shifts = range(top - step, -1, -step)
-        moved = out[k]
-        for w, n in bucket.items():
-            sign, packed = images[w >> top]
-            for shift in shifts:
-                s, v = images[w >> shift & mask | flag]
-                packed = ((packed - 1) << new_step) + v
-                sign *= s
-            moved[packed] = sign * n
-    return AlgebraElement(context, out, x._den, _known_degree(x))
+        moved, *chunks = images.columns(bucket, k)
+        if not chunks:  # words of one chunk
+            out[k] = {u: s * n for (s, u), n in zip(moved, bucket.values())}
+            continue
+        *chunks, last = chunks
+        for column in chunks:  # the images so far, each followed by its next chunk's
+            moved = [(s * t, ((u - 1) << shift) + v) for (s, u), (t, v) in zip(moved, column)]
+        terms = zip(moved, last, bucket.values())
+        out[k] = {((u - 1) << shift) + v: s * t * n for (s, u), (t, v), n in terms}
+    return AlgebraElement(context, out, x._den, x._degree)
 
 
 def _odd_derivation(x: AlgebraElement, image: Callable[[str], AlgebraElement], top: int) -> AlgebraElement:
@@ -755,7 +753,7 @@ def _odd_derivation(x: AlgebraElement, image: Callable[[str], AlgebraElement], t
                             target[w] = get(w, 0) + a * b
                 if parities[letter]:
                     a = -a
-    degree = _known_degree(x)
+    degree = x._degree
     return AlgebraElement(context, out, x._den * shared, None if degree is None else degree - 1)
 
 
@@ -791,7 +789,7 @@ class _LinearSum:
             self.den = den
         scale = scalar.numerator * (den // term_den)
         if scale and any(x._buckets):
-            self.degrees.add(_known_degree(x))
+            self.degrees.add(x._degree)
         for k, bucket in enumerate(x._buckets):
             if not bucket:
                 continue
@@ -887,7 +885,7 @@ def weight_component(x: AlgebraElement, k: int) -> AlgebraElement:
         )
     out = list(x.context._no_terms)
     out[k] = x._buckets[k]
-    return AlgebraElement(x.context, out, x._den, _known_degree(x))
+    return AlgebraElement(x.context, out, x._den, x._degree)
 
 
 def apply_morphism(m: GeneratorMorphism, x: AlgebraElement) -> AlgebraElement:
@@ -937,7 +935,7 @@ def _right_normed(x: AlgebraElement) -> AlgebraElement:
         if bucket:
             even, odd = _bracketing(bucket, k, context._bits, context._parities)
             out[k] = even | odd
-    return AlgebraElement(context, out, x._den, _known_degree(x))
+    return AlgebraElement(context, out, x._den, x._degree)
 
 
 def is_primitive(x: AlgebraElement, wmax: int) -> bool:
@@ -1042,29 +1040,22 @@ def _write_terms(x: AlgebraElement, indent: str, parts: list[str]) -> None:
     them at ``indent``, each after a line break: one template fill per term, each distinct
     numerator's ``"p/q"`` reduced by one gcd, and the word's names read a chunk of letters at
     a time from :func:`_name_table`, each name escaped once."""
-    context = x.context
     comma = f",\n{indent}    "
     template = f'\n{indent}{{\n{indent}  "coeff": "%s",\n{indent}  "word": [\n{indent}    %s\n'
     template += f"{indent}  ]\n{indent}}}"
-    names = _name_table(context, comma)
-    chunk = context._chunk
-    step = context._bits * chunk
-    mask, flag = (1 << step) - 1, 1 << step
+    names = _name_table(x.context, comma)
     den, gcd = x._den, math.gcd
     coeffs: dict[int, str] = {}
     for k, bucket in enumerate(x._buckets):
         if not bucket:
             continue
-        top = step * ((k - 1) // chunk)  # the leading 1..chunk letters, then whole chunks
-        shifts = range(top - step, -1, -step)
-        for w, n in sorted(bucket.items()):
+        words = sorted(bucket)
+        for w, word in zip(words, map(comma.join, zip(*names.columns(words, k)))):
+            n = bucket[w]
             coeff = coeffs.get(n)
             if coeff is None:
                 common = gcd(n, den)
                 coeff = coeffs[n] = f"{n // common}/{den // common}"
-            word = names[w >> top]
-            for shift in shifts:
-                word += comma + names[w >> shift & mask | flag]
             parts.append(template % (coeff, word))
             parts.append(",")
     parts.pop()  # no comma after the last term

@@ -22,9 +22,9 @@ per model instance; :func:`verify_model` returns that stored result
 instead of recomputing it.  A model with a 2-cell is built on the
 verified model of its 1-skeleton: it inherits the skeleton's checks and
 computes only the 2-cell's, deciding its square from the basepoint and
-holonomy the builder attached.  Decoded and :func:`dataclasses.replace`
-copies run every check, and take the full Leibniz square of every
-generator.
+holonomy the builder attached.  Decoded models and copies (by
+:func:`dataclasses.replace`, :func:`copy.deepcopy` or :mod:`pickle`) run
+every check, and take the full Leibniz square of every generator.
 :func:`build_one_complex`, :func:`build_named_model` and
 :func:`compute_symmetric_data` are memoized; models are immutable, so
 the cached instances are safe to share.
@@ -131,6 +131,9 @@ class CellModel:
     generators into ``context`` and each ``Dg`` is zero or homogeneous of
     degree ``|g| - 1``.  The tables are kept as read-only copies.  A
     model is not hashable: its elements compare by value only.
+    :func:`copy.deepcopy` and :mod:`pickle` rebuild a model through this
+    constructor, so a copy, like a decoded model, computes its checks
+    afresh and takes the full Leibniz square of every generator.
     """
 
     __hash__ = None  # type: ignore[assignment]
@@ -157,6 +160,9 @@ class CellModel:
                 raise ModelError(str(exc), f"differential.{g.name}") from None
             if not isinstance(self.closure[g.name], frozenset) or not self.closure[g.name] <= declared:
                 raise ModelError("closure must be a frozenset of declared generators", f"closure.{g.name}")
+
+    def __reduce__(self) -> tuple:  # copies go through the constructor, from plain dicts
+        return CellModel, (self.context, dict(self.boundary0), dict(self.differential), dict(self.closure))
 
     @property
     def order(self) -> int:

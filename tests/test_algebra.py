@@ -1,4 +1,6 @@
 import json
+import pickle
+from copy import deepcopy
 from fractions import Fraction
 
 import pytest
@@ -304,6 +306,22 @@ class TestPrimitivity:
         for wmax in (0, CTX.max_weight + 1, True):
             with pytest.raises(ValueError):
                 is_primitive(CTX.gen("e"), wmax)
+
+
+class TestCopying:
+    @pytest.mark.parametrize(
+        "copy_value", [deepcopy, lambda value: pickle.loads(pickle.dumps(value))], ids=["deepcopy", "pickle"]
+    )
+    def test_round_trip(self, copy_value):
+        e, f = CTX.gen("e"), CTX.gen("f")
+        mixed = CTX.element({("a",): Fraction(1, 2), ("e", "f"): 3})
+        for value in (CTX, e, CTX.zero(), mixed, bch([e, f])):
+            copied = copy_value(value)
+            assert copied == value and copied is not value
+        # the constructor keeps a carried degree and leaves an unknown one to a scan
+        assert copy_value(bch([e, f]))._degree == 0
+        with pytest.raises(GradingError):
+            copy_value(mixed).homogeneous_degree()
 
 
 class TestSerialization:

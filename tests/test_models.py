@@ -1,7 +1,11 @@
 import json
+import pickle
+from collections import Counter
 from collections.abc import Hashable
+from copy import deepcopy
 from dataclasses import replace
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -151,6 +155,35 @@ class TestBuilders:
         for copy in (decoded, replace(model)):
             assert "_checks" not in vars(copy)
             assert verify_model(copy).checks == verify_model(model).checks
+
+    @pytest.mark.parametrize(
+        "copy_model", [deepcopy, lambda model: pickle.loads(pickle.dumps(model))], ids=["deepcopy", "pickle"]
+    )
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_a_copy_is_rebuilt_by_the_constructor(self, name, copy_model):
+        # equal tables, read-only again, and checks computed afresh that
+        # report what the built model's report
+        model = build_named_model(name, 6)
+        copied = copy_model(model)
+        assert copied is not model and copied.context == model.context
+        for field in ("boundary0", "differential", "closure"):
+            table = getattr(copied, field)
+            assert isinstance(table, MappingProxyType) and table == getattr(model, field)
+        assert "_checks" not in vars(copied)
+        assert verify_model(copied).to_json_dict() == verify_model(model).to_json_dict()
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_lower_orders_are_truncations(self, name):
+        # each model at orders 1-8 is the order-9 model moved down to its
+        # order: boundaries and differentials by in_context, the same closure
+        top = build_named_model(name, 9)
+        for order in range(1, 9):
+            model = build_named_model(name, order)
+            assert model.context.names == top.context.names
+            for field in ("boundary0", "differential"):
+                truncated = {g: y.in_context(model.context) for g, y in getattr(top, field).items()}
+                assert truncated == dict(getattr(model, field)), (order, field)
+            assert model.closure == top.closure
 
     def test_builder_rejects_a_model_failing_its_checks(self, monkeypatch):
         original = dgla.models.edge_differential
@@ -312,6 +345,25 @@ class TestSymmetricData:
         monkeypatch.setattr(dgla.models, "_vertex_flows", perturbed)
         with pytest.raises(RuntimeError, match="misses the far vertex"):
             compute_symmetric_data.__wrapped__(3)
+
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_words_per_weight(self, order):
+        # a dropped or cancelled term changes these counts even where every
+        # check of the report still passes
+        def counts(x):
+            found = Counter(len(word) for word, _ in x.terms())
+            return [found[k] for k in range(1, order + 1)]
+
+        data = compute_symmetric_data(order)
+        weights = range(1, order + 1)
+        odd = [2 if k == 1 else 2**k - 2 if k % 2 else 0 for k in weights]
+        assert counts(data.v) == counts(data.q) == odd
+        assert counts(data.x) == [2 if k == 1 else 0 if k % 2 else k * 2**k for k in weights]
+        vertices = {data.x.context.generator(name).index for name in "ab"}
+        assert all(sum(letter in vertices for letter in word) == 1 for word, _ in data.x.terms())
+        dg = build_named_model("bigon-sym", order).differential["g"]
+        law = {1: 2, 2: 4, 3: 22, 5: 158, 7: 894, 9: 4606}
+        assert counts(dg) == [law.get(k, 0) for k in weights]
 
     def test_even_weights_vanish(self, symdata):
         for k in (2, 4, 6):
