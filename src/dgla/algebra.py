@@ -20,7 +20,8 @@ the integers is the canonical order (weight, then lexicographic).  The
 form is unique, so equality is a plain comparison, and every operation
 computes in integers: sums rescale to the lcm of the denominators,
 products multiply numerators and denominators, and the product kernels
-pair only the weight buckets that fit under the truncation.  Three
+pair only the weight buckets that fit under the truncation, as does
+:func:`_horner`, the one kernel behind every truncated series.  Three
 kernels read words a chunk of letters per lookup, each in a table filled
 as chunks occur: the degree scan sums the letters' degrees, one kernel
 repacks words for every generator relabelling (a :class:`GeneratorMorphism`
@@ -308,8 +309,9 @@ class AlgebraElement:
     :func:`bracket`, sums (through ``_LinearSum``, when every summand has
     the same known degree), :meth:`in_context` and :func:`apply_morphism`,
     :func:`weight_component`, the right quotients by the letters, the filters
-    ``_ending_in`` and ``_terms_using``, the right-normed bracketing, and
-    the Leibniz kernel of a model's differential, which lowers it by one.
+    ``_ending_in`` and ``_terms_using``, the right-normed bracketing, the
+    Horner kernel by a degree-0 multiplier, and the Leibniz kernel of a
+    model's differential, which lowers it by one.
     Only elements built from terms (:meth:`AlgebraContext.element`, the
     decoders) are scanned.
 
@@ -505,11 +507,13 @@ _CHUNK_ENTRIES = 4096
 # -- integer kernels on packed words ------------------------------------------
 
 
-def _add_products(out: list[Mapping[int, int]], left: _Buckets, right: _Buckets, bits: int, sign: int) -> None:
-    """Add ``sign * a * b`` to ``out[k + l][uv]`` for every weight-``k``
+def _add_products(out: list[Mapping[int, int]], left: _Buckets, right: _Buckets, bits: int, scale: int) -> None:
+    """Add ``scale * a * b`` to ``out[k + l][uv]`` for every weight-``k``
     term ``(u, a)`` of ``left`` and weight-``l`` term ``(v, b)`` of
     ``right`` with ``k + l`` at most the truncation ``len(out) - 1``.
 
+    ``scale`` is a sign, or the factor that brings a Horner step over its
+    sum's denominator.  Nonempty buckets of ``out`` are updated in place.
     The packed concatenation ``uv`` is ``((u - 1) << bits * l) + v``: the
     sentinel of ``u`` moves up to the top and that of ``v`` is absorbed.
     """
@@ -528,13 +532,13 @@ def _add_products(out: list[Mapping[int, int]], left: _Buckets, right: _Buckets,
             if not target:
                 # the words uv of one weight pair are distinct: no sums
                 out[k + l] = {
-                    ((u - 1) << shift) + v: sign * a * b for u, a in us.items() for v, b in pairs
+                    ((u - 1) << shift) + v: scale * a * b for u, a in us.items() for v, b in pairs
                 }
                 continue
             get = target.get
             for u, a in us.items():
                 base = (u - 1) << shift
-                a *= sign
+                a *= scale
                 for v, b in pairs:
                     w = base + v
                     target[w] = get(w, 0) + a * b
@@ -755,6 +759,62 @@ def _odd_derivation(x: AlgebraElement, image: Callable[[str], AlgebraElement], t
                     a = -a
     degree = x._degree
     return AlgebraElement(context, out, x._den * shared, None if degree is None else degree - 1)
+
+
+def _horner(
+    start: AlgebraElement,
+    multiplier: AlgebraElement,
+    table: Sequence[Fraction],
+    step: Callable[[list[Mapping[int, int]], _Buckets, _Buckets, int, int], None],
+) -> AlgebraElement:
+    """``sum_k table[k] S^k(start)`` as ``c_0 start + S(c_1 start + ...)``
+    for the step ``S`` by ``multiplier``: :func:`_times_right`,
+    :func:`_times_left` or :func:`_ad`.
+
+    No element stores the empty word, so ``S`` raises the weight, and the
+    inner sum that ``S`` is still applied to ``j`` times is kept through
+    weight ``order - j`` only.  Each step adds ``S`` of the inner sum to
+    fresh buckets holding ``c_j start``, over one denominator.  A degree-0
+    multiplier keeps ``start``'s degree; other powers may differ in it.
+    """
+    context = start.context
+    order = context.max_weight
+    last = max((k for k, c in enumerate(table[:order]) if c), default=-1)  # S^order(start) = 0
+    degree = start._degree if multiplier._degree == 0 else None
+    by, bits = multiplier._buckets, context._bits
+    inner = context.zero()
+    for j in range(last, -1, -1):
+        c, top = table[j], order - j
+        term = c.denominator * start._den if c else 1
+        den = math.lcm(term, inner._den * multiplier._den)
+        factor = c.numerator * (den // term)
+        out = list(context._no_terms[: top + 1])
+        for k in range(1, top + 1) if factor else ():
+            bucket = start._buckets[k]
+            if bucket:
+                out[k] = {w: factor * n for w, n in bucket.items()}
+        if inner:
+            step(out, inner._buckets, by, bits, den // (inner._den * multiplier._den))
+        out.extend(context._no_terms[top + 1 :])
+        inner = AlgebraElement(context, out, den, degree)
+    return inner
+
+
+# The steps of _horner: scale * S(inner) added to out, through its length.
+
+
+def _times_right(out: list[Mapping[int, int]], inner: _Buckets, by: _Buckets, bits: int, scale: int) -> None:
+    _add_products(out, inner, by, bits, scale)
+
+
+def _times_left(out: list[Mapping[int, int]], inner: _Buckets, by: _Buckets, bits: int, scale: int) -> None:
+    _add_products(out, by, inner, bits, scale)
+
+
+def _ad(out: list[Mapping[int, int]], inner: _Buckets, by: _Buckets, bits: int, scale: int) -> None:
+    # the bracket with a degree-0 multiplier: by * inner - inner * by
+    _add_products(out, by, inner, bits, scale)
+    _add_products(out, inner, by, bits, -scale)
 
 
 class _LinearSum:

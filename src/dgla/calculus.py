@@ -4,18 +4,22 @@ Everything here is exact: scalar power series are lists of rationals,
 operator series are the same lists indexed by the power of ``ad`` of a
 chosen degree-0 direction, and the exponential/logarithm pair lives in
 the unit-augmented tensor algebra with the unit tracked implicitly (an
-element ``z`` stands for ``1 + z``).  A flow is one walk of
-``(1 - e^{-t ad})/ad`` over ``D(direction) + [start, direction]``.
+element ``z`` stands for ``1 + z``).  Every series is summed by Horner's
+rule in :func:`dgla.algebra._horner`, each inner sum cut to the weight it
+can still reach; a step multiplies by ``z`` on the right (exp, log,
+BCH), by a direction on the left (the vertex-module flow below) or
+brackets with it.  A flow is one Horner pass of ``(1 - e^{-t ad})/ad``
+over ``D(direction) + [start, direction]``.
 On a 1-complex a vertex flowed by a direction in the Lie algebra of the
-edges can be walked in vertex-module coordinates instead: a degree -1
+edges can be flowed in vertex-module coordinates instead: a degree -1
 Lie element is ``sum c_{w,p} ad_{w1}...ad_{wk}(p)`` over the vertices
 ``p``, ``c_{w,p}`` is the coefficient of its word ``w p``, and there
 ``ad_direction`` is left multiplication by ``direction``, so each step
 is one product rather than a bracket.  The symmetric midpoint is
-computed that way; :func:`flow` keeps the tensor walk and is the
-independent route.  The coordinates of a differential ``D(y)``, its
+computed that way; :func:`flow` keeps the tensor route and is the
+independent one.  The coordinates of a differential ``D(y)``, its
 words that end in a vertex, come from the right Fox rule without
-expanding ``D(y)``; the midpoint walk and the 2-cell's ``D^2 = 0``
+expanding ``D(y)``; the midpoint flow and the 2-cell's ``D^2 = 0``
 check in :mod:`dgla.models` both read them that way.  The
 multi-argument Baker-Campbell-Hausdorff element is computed as the
 logarithm of a product of exponentials, so its output is a Lie element
@@ -28,27 +32,31 @@ Every scalar series but the logarithm's and the binomial series of
 ``T`` is specialized to ``ad`` of anything: the exponential's table,
 ``(e^T - 1)/T`` and the flow integrator ``(1 - e^{-tT})/T`` are slices
 of it, and ``T/(e^T - 1)`` and ``T/(1 - e^{+-T})`` are reciprocals of
-such slices.  A walk over the powers of one element evaluates several
-tables at once.
+such slices.  Several tables over the powers of one element take one
+Horner pass each.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import TYPE_CHECKING, Callable, Collection, Sequence
+from typing import TYPE_CHECKING, Collection, Sequence
 
 from .algebra import (
     AlgebraContext,
     AlgebraElement,
     ContextMismatchError,
     GradingError,
+    _ad,
     _as_fraction,
     _ending_in,
+    _horner,
     _LinearSum,
     _odd_derivation,
     _product,
     _right_quotients,
+    _times_left,
+    _times_right,
     bracket,
     weight_component,
 )
@@ -138,7 +146,7 @@ def _edge_series(sign: int, order: int) -> list[Fraction]:
 
 
 def _integrator(t: int | Fraction, order: int) -> list[Fraction]:
-    # (1 - e^{-tT})/T through T^(order - 1), the series every flow walks;
+    # (1 - e^{-tT})/T through T^(order - 1), the series every flow sums;
     # t is made exact before it is negated (-True is -1)
     return [-c for c in _exponential(-_as_fraction(t), order)[1:]]
 
@@ -150,8 +158,8 @@ def apply_operator_series(
 
     ``coeffs`` lists exact rationals indexed by the power of ``ad``.
     The direction must be graded-homogeneous of degree 0 and the target
-    graded-homogeneous; iterated brackets truncate at the context's max
-    weight, so the loop stops as soon as a power of ``ad`` vanishes.
+    graded-homogeneous.  The series is summed by Horner's rule, each
+    inner sum cut to the weight it can still reach.
     """
     if not isinstance(coeffs, Sequence):
         raise TypeError("operator series coefficients must be a sequence indexed by power")
@@ -160,30 +168,7 @@ def apply_operator_series(
         raise ContextMismatchError("direction and target must share a context")
     _require_degree(direction, 0, "operator direction")
     target.homogeneous_degree()  # raises on mixed input
-    return _series_walk(target, lambda current: bracket(direction, current), [table])[0]
-
-
-def _series_walk(
-    start: AlgebraElement,
-    step: Callable[[AlgebraElement], AlgebraElement],
-    tables: Sequence[Sequence[Fraction]],
-) -> list[AlgebraElement]:
-    # sum_k table[k] step^k(start) for every table, from one walk over
-    # the powers; only the current power and one running sum per table
-    # are kept, and the walk stops at the first power that vanishes or
-    # after the last nonzero coefficient of any table
-    sums = [_LinearSum(start.context) for _ in tables]
-    last = max((k for table in tables for k, c in enumerate(table) if c), default=-1)
-    current = start
-    for k in range(last + 1):
-        if k:
-            current = step(current)
-            if not current:
-                break
-        for total, table in zip(sums, tables):
-            if k < len(table) and table[k]:
-                total.add(table[k], current)
-    return [total.element() for total in sums]
+    return _horner(target, direction, table, _ad)
 
 
 # -- exponentials, logarithms, BCH ---------------------------------------
@@ -203,8 +188,9 @@ def _binomial(alpha: Fraction, order: int) -> list[Fraction]:
 
 
 def _power_series(z: AlgebraElement, tables: Sequence[Sequence[Fraction]]) -> list[AlgebraElement]:
-    # sum_k table[k] z^(k + 1) for every table, from one walk over the powers of z
-    return _series_walk(z, lambda power: power * z, tables)
+    # sum_k table[k] z^(k + 1) for every table, one Horner pass of right
+    # multiplications by z per table
+    return [_horner(z, z, table, _times_right) for table in tables]
 
 
 def exp_assoc(x: AlgebraElement) -> AlgebraElement:
@@ -342,7 +328,7 @@ def flow(
     ``exp(-t ad) start + ((1 - exp(-t ad))/ad) D(direction)``; in every
     other degree the source term is absent and the solution is
     ``exp(-t ad) start``.  Since ``exp(-tT) = 1 - T (1 - exp(-tT))/T``,
-    both are evaluated as ``start`` plus one walk of
+    both are evaluated as ``start`` plus one Horner pass of
     ``(1 - e^{-t ad})/ad`` over ``D(direction) + [start, direction]``,
     the first summand only in degree -1.  Flowing by ``direction`` for
     time ``t`` equals flowing by ``t * direction`` for unit time.  The
@@ -389,7 +375,8 @@ def _vertex_flows(
     times: Sequence[int | Fraction],
 ) -> list[AlgebraElement]:
     # The vertex-module coordinates of flow(model, direction, start, t)
-    # for each t, from one walk of left multiplications by direction.
+    # for each t, from one Horner pass per t whose step is left
+    # multiplication by direction.
     # The model is a 1-complex, the direction lies in the Lie algebra of
     # the edges and the start is a degree -1 Lie element.  Coordinates
     # are the words that end in a vertex (algebra._right_normed maps
@@ -399,5 +386,5 @@ def _vertex_flows(
     initial = _ending_in(start, vertices)
     source = _ending_differential(model, direction, vertices, context.max_weight) - direction * initial
     tables = [_integrator(t, context.max_weight) for t in times]
-    pushed = _series_walk(source, lambda current: direction * current, tables)
+    pushed = [_horner(source, direction, table, _times_left) for table in tables]
     return [initial + p for p in pushed]

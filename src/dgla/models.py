@@ -306,18 +306,19 @@ def compute_symmetric_data(order: int = DEFAULT_ORDER) -> SymmetricBigonData:
     ``v`` interpolates the two edge directions symmetrically:
     ``v = bch(-1/2 bch(e, f), e)``, so flowing by ``v`` for unit time
     carries one vertex to the other.  The loop ``bch(e, f)`` and
-    ``exp(-1/2 bch(e, f))`` come from one walk over the powers of
-    ``exp(e) exp(f) - 1``, as its logarithm and its inverse square root,
-    so only ``v`` takes a logarithm of its own.  ``x`` and ``q`` are the basepoint
-    ``a`` and the holonomy ``bch(e, f)`` of ``bigon-a``, both flowed by
-    ``v`` for time 1/2.  The midpoint ``x`` is flowed in vertex-module
+    ``exp(-1/2 bch(e, f))`` are two series in the powers of
+    ``exp(e) exp(f) - 1``, its logarithm and its inverse square root,
+    each one Horner pass, so only ``v`` takes a logarithm of its own.
+    ``x`` and ``q`` are the basepoint ``a`` and the holonomy
+    ``bch(e, f)`` of ``bigon-a``, both flowed by ``v`` for time 1/2.
+    The midpoint ``x`` is flowed in vertex-module
     coordinates (words ending in a vertex, each step a left
     multiplication by ``v``) and bracketed back; the degree-0 holonomy
     flows to ``q = exp(-1/2 ad_v) bch(e, f)``, which spans the kernel of
     the differential twisted by ``x``, with weight-1 part ``e + f``.
     One internal cross-check guards the construction, and it is the
     only :class:`RuntimeError` raised here: the coordinates of the
-    unit-time flow of ``a`` by ``v``, from the same walk as ``x``, must
+    unit-time flow of ``a`` by ``v``, from the same route as ``x``, must
     be those of ``b`` on the nose.  Results live in the circle context
     and are cached per order.
     """
@@ -326,7 +327,7 @@ def compute_symmetric_data(order: int = DEFAULT_ORDER) -> SymmetricBigonData:
     a, b = context.gen("a"), context.gen("b")
     half = Fraction(1, 2)
     exp_e, exp_f = exp_assoc(context.gen("e")), exp_assoc(context.gen("f"))
-    # One walk over the powers of z = e^e e^f - 1 (the unit implicit) gives
+    # Two series in the powers of z = e^e e^f - 1 (the unit implicit) give
     # the loop log(1 + z) = bch(e, f) and w = (1 + z)^(-1/2) - 1, which is
     # e^(-loop/2) - 1, so that v = log((1 + w) e^e) = bch(-1/2 loop, e).
     z = exp_e + exp_f + exp_e * exp_f

@@ -7,7 +7,9 @@ of terms at a time in ``Fraction`` arithmetic, reading elements only
 through ``terms()`` and rebuilding them through ``AlgebraContext.element``;
 the flow oracle integrates the defining ODE weight by weight with
 exact polynomial coefficients, using those kernels, instead of
-evaluating the closed-form operator series; and the Lie-membership
+evaluating the closed-form operator series; the exponential, logarithm
+and BCH oracles sum the powers one naive product at a time, where the
+library evaluates each series by Horner's rule; and the Lie-membership
 oracle enumerates unshuffles (Friedrichs) where the library brackets
 words (Dynkin-Specht-Wever); the JSON oracles build one dict per term
 from ``terms()`` and hand the payload to ``json.dumps``, where the
@@ -16,19 +18,23 @@ library writes the text straight from its stored numerators.
 
 import json
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from dgla import weight_component
 
 
 def naive_product(x, y):
-    """The concatenation product, one term pair at a time, dropping
-    every word longer than the truncation order."""
+    """The concatenation product, one term pair at a time, pairing each
+    word only with the words short enough to stay under the truncation
+    order."""
     ctx = x.context
+    by_length = {}
+    for v, cv in y.terms():
+        by_length.setdefault(len(v), []).append((v, cv))
     out = {}
     for u, cu in x.terms():
-        for v, cv in y.terms():
-            if len(u) + len(v) <= ctx.max_weight:
+        for length in range(1, ctx.max_weight - len(u) + 1):
+            for v, cv in by_length.get(length, ()):
                 out[u + v] = out.get(u + v, Fraction(0)) + cu * cv
     return ctx.element(out)
 
@@ -94,6 +100,40 @@ def naive_operator_series(coeffs, direction, target):
             power = naive_bracket(direction, power)
         total = total + Fraction(c) * power
     return total
+
+
+def naive_power_series(coeffs, z):
+    """``sum_k coeffs[k] z^(k + 1)``, each power one naive product more
+    than the last."""
+    total = z.context.zero()
+    power = z
+    for k, c in enumerate(coeffs):
+        if k:
+            power = naive_product(power, z)
+        total = total + Fraction(c) * power
+    return total
+
+
+def naive_exp(x):
+    """``exp(x) - 1`` through the truncation order, power by power."""
+    order = x.context.max_weight
+    return naive_power_series([Fraction(1, factorial(k)) for k in range(1, order + 1)], x)
+
+
+def naive_log(z):
+    """``log(1 + z)`` through the truncation order, power by power."""
+    order = z.context.max_weight
+    return naive_power_series([Fraction((-1) ** (k + 1), k) for k in range(1, order + 1)], z)
+
+
+def naive_bch(xs):
+    """``log(exp(x1) ... exp(xn))``, the exponentials multiplied with the
+    unit kept implicit: ``(1 + a)(1 + b) - 1 = a + b + ab``."""
+    product = xs[0].context.zero()
+    for x in xs:
+        factor = naive_exp(x)
+        product = product + factor + naive_product(product, factor)
+    return naive_log(product)
 
 
 def friedrichs_primitive(x, wmax):

@@ -27,8 +27,8 @@ from dgla import (
     twisted_differential,
     weight_component,
 )
-from dgla.algebra import _ending_in, _right_normed
-from dgla.calculus import _edge_series, _exponential, _integrator, _series_walk, _vertex_flows
+from dgla.algebra import _ad, _ending_in, _horner, _right_normed
+from dgla.calculus import _edge_series, _exponential, _integrator, _vertex_flows
 
 XY = AlgebraContext([("x", 0), ("y", 0)], max_weight=6)
 
@@ -201,24 +201,26 @@ class TestOperatorSeries:
         ],
     )
     def test_walk_stops_at_the_last_nonzero_coefficient(self, tables, steps):
+        # one Horner pass per table, each from its last nonzero coefficient
         x, y = XY.gen("x"), XY.gen("y")
         calls = []
 
-        def step(current):
-            calls.append(current)
-            return bracket(x, current)
+        def step(out, inner, by, bits, scale):
+            calls.append(inner)
+            _ad(out, inner, by, bits, scale)
 
-        sums = _series_walk(y, step, [[Fraction(c) for c in table] for table in tables])
+        sums = [_horner(y, x, [Fraction(c) for c in table], step) for table in tables]
         assert len(calls) == steps
         assert sums == [naive_operator_series(table, x, y) for table in tables]
 
     def test_flow_at_time_zero_takes_no_step(self, circle, monkeypatch):
         calls = []
         monkeypatch.setattr("dgla.calculus.bracket", lambda u, w: calls.append(u) or bracket(u, w))
+        monkeypatch.setattr("dgla.calculus._ad", lambda *args: calls.append(args) or _ad(*args))
         ctx = circle.context
         direction = ctx.gen("e") + bracket(ctx.gen("e"), ctx.gen("f"))
         assert flow(circle, direction, ctx.gen("a"), 0) == ctx.gen("a")
-        assert len(calls) == 1  # the source term [start, direction], and no walk
+        assert len(calls) == 1  # the source term [start, direction], and no Horner step
 
     def test_mapping_rejected(self):
         # coefficients are indexed by position; a power -> coefficient
@@ -418,7 +420,7 @@ def _random_lie(rng, e, f, weights):
 
 class TestVertexModuleFlow:
     # the vertex-module route (coordinates flowed by left multiplication,
-    # then bracketed back) against the tensor walk of flow
+    # then bracketed back) against the tensor route of flow
     TIMES = (0, Fraction(1, 2), 1, Fraction(-1, 3), 2)
 
     def _check(self, model, directions):

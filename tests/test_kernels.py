@@ -22,6 +22,7 @@ from dgla import (
     GradingError,
     apply_morphism,
     apply_operator_series,
+    bch,
     bracket,
     build_named_model,
     decode,
@@ -35,7 +36,16 @@ from dgla import (
     log_assoc,
     weight_component,
 )
-from dgla.algebra import _ending_in, _right_normed, _right_quotients, _terms_to_json, _terms_using
+from dgla.algebra import (
+    _ad,
+    _add_products,
+    _ending_in,
+    _right_normed,
+    _right_quotients,
+    _terms_to_json,
+    _terms_using,
+)
+from dgla.calculus import _edge_series, _power_series
 from dgla.models import MODEL_NAMES
 from oracles import (
     dumps_encode,
@@ -43,11 +53,15 @@ from oracles import (
     dumps_terms,
     friedrichs_primitive,
     iterative_flow,
+    naive_bch,
     naive_bracket,
+    naive_exp,
     naive_in_context,
     naive_leibniz,
+    naive_log,
     naive_morphism,
     naive_operator_series,
+    naive_power_series,
     naive_product,
 )
 
@@ -318,6 +332,93 @@ class TestFlow:
         assert got == iterative_flow(model, direction, start, t)
         assert_canonical(got)
 
+
+class TestHorner:
+    """The Horner kernel behind every truncated series: each result
+    against the power-by-power oracles at every supported order, the
+    coefficients it may skip, and the weight each inner sum is cut to."""
+
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_against_the_power_oracles(self, order):
+        circle = build_named_model("circle2", order)
+        ctx = circle.context
+        e, f, a = ctx.gen("e"), ctx.gen("f"), ctx.gen("a")
+        x = Fraction(2, 3) * e - Fraction(1, 5) * bracket(e, f)
+        half = Fraction(1, 2)
+        # T/(1 - e^T) has a zero at every odd power from 3 on
+        edge = _edge_series(1, order)
+        for got, expected in (
+            (exp_assoc(x), naive_exp(x)),
+            (log_assoc(x), naive_log(x)),
+            (bch([x, f]), naive_bch([x, f])),
+            (apply_operator_series(edge, x, a), naive_operator_series(edge, x, a)),
+            (flow(circle, x, a, half), iterative_flow(circle, x, a, half)),
+        ):
+            assert got == expected
+            assert_canonical(got)
+
+    def test_several_tables(self):
+        # one pass per table, each from its own last nonzero coefficient
+        ctx = AlgebraContext([("e", 0), ("f", 0)], 7)
+        z = ctx.gen("e") + Fraction(3, 4) * ctx.gen("f") * ctx.gen("e")
+        tables = [
+            [Fraction(c, 3) for c in table] for table in ([0, 0, 0], [1, 0, 2, 0, 0], [0, 5, 0, 0, 0, 0, 1, 4, 4])
+        ]
+        assert _power_series(z, tables) == [naive_power_series(table, z) for table in tables]
+
+    @pytest.mark.parametrize("lowest", (2, 3, 5))
+    def test_start_above_weight_one(self, lowest, monkeypatch):
+        # S^k(start) has weight at least lowest + k, so the sum takes only
+        # order - lowest steps however long the table is
+        ctx = AlgebraContext([("e", 0), ("f", 0)], 7)
+        e, f = ctx.gen("e"), ctx.gen("f")
+        start = f
+        for _ in range(lowest - 1):
+            start = bracket(e, start)
+        start = start + Fraction(1, 3) * bracket(f, start)
+        direction = e - Fraction(1, 2) * bracket(e, f)
+        table = [Fraction(1, k + 1) for k in range(12)]
+        calls = []
+        monkeypatch.setattr("dgla.calculus._ad", lambda *args: calls.append(args) or _ad(*args))
+        got = apply_operator_series(table, direction, start)
+        assert len(calls) == 7 - lowest
+        assert got == naive_operator_series(table, direction, start)
+        assert_canonical(got)
+
+    def test_multiplier_of_nonzero_degree(self):
+        # the powers of a degree-2 element have degrees 2, 4, 6, ...: the
+        # sum carries no degree; a degree-0 multiplier keeps start's
+        ctx = AlgebraContext([("k", 2), ("e", 0)], 6)
+        k, e = ctx.gen("k"), ctx.gen("e")
+        z = k + Fraction(1, 2) * bracket(e, k)
+        for got, expected in ((log_assoc(z), naive_log(z)), (exp_assoc(z), naive_exp(z))):
+            assert got._degree is None
+            assert got == expected
+            assert_canonical(got)
+        with pytest.raises(GradingError):
+            log_assoc(z).homogeneous_degree()
+        assert log_assoc(e + Fraction(1, 2) * e * e)._degree == 0
+
+    def test_inner_sums_stop_at_their_weight(self, monkeypatch):
+        # the step into the sum at depth j writes through weight order - j,
+        # from an inner sum no heavier than order - j - 1
+        ctx = AlgebraContext([("e", 0), ("f", 0), ("a", -1)], 8)
+        e, f, a = ctx.gen("e"), ctx.gen("f"), ctx.gen("a")
+        steps = []
+
+        def recorded(out, left, right, bits, scale):
+            heaviest = max(k for buckets in (left, right) for k, bucket in enumerate(buckets) if bucket)
+            steps.append((len(out) - 1, heaviest))
+            _add_products(out, left, right, bits, scale)
+
+        monkeypatch.setattr("dgla.algebra._add_products", recorded)
+        exp_assoc(e + f)  # eight coefficients, start of weight 1
+        assert [top for top, _ in steps] == [2, 3, 4, 5, 6, 7, 8]
+        assert all(heaviest <= top - 1 for top, heaviest in steps)
+        steps.clear()
+        apply_operator_series([1] * 9, e + f, a)  # ad: two products per step
+        assert [top for top, _ in steps] == [2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8]
+        assert all(heaviest <= top - 1 for top, heaviest in steps)
 
 
 class TestChunkKernels:

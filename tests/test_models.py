@@ -304,6 +304,17 @@ class TestSymmetricData:
         assert apply_morphism(rotate, symdata.q) == symdata.q
         assert apply_morphism(reflect, symdata.q) == -symdata.q
 
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_parity(self, order):
+        # sigma(v) = -v, iota(v) = v, sigma(q) = q, iota(q) = -q: the
+        # dihedral identities that leave v and q only odd weights
+        data = compute_symmetric_data(order)
+        rotate, reflect = (symmetry_morphism("circle2", data.v.context, w) for w in ("sigma", "iota"))
+        assert apply_morphism(rotate, data.v) == -data.v
+        assert apply_morphism(reflect, data.v) == data.v
+        assert apply_morphism(rotate, data.q) == data.q
+        assert apply_morphism(reflect, data.q) == -data.q
+
     def test_kernel_element_is_closed(self, circle, symdata):
         assert twisted_differential(circle, symdata.x, symdata.q).is_zero()
 
@@ -330,7 +341,7 @@ class TestSymmetricData:
 
     @pytest.mark.parametrize("order", range(1, 11))
     def test_direction_bch_form(self, order):
-        # v comes from the loop's own walk over the powers of e^e e^f - 1;
+        # v comes from the same series in the powers of e^e e^f - 1 as the loop;
         # the nested bch is the independent route
         data = compute_symmetric_data(order)
         e, f = data.v.context.gen("e"), data.v.context.gen("f")
@@ -346,7 +357,7 @@ class TestSymmetricData:
         with pytest.raises(RuntimeError, match="misses the far vertex"):
             compute_symmetric_data.__wrapped__(3)
 
-    @pytest.mark.parametrize("order", range(1, 11))
+    @pytest.mark.parametrize("order", range(1, 12))
     def test_words_per_weight(self, order):
         # a dropped or cancelled term changes these counts even where every
         # check of the report still passes
@@ -362,7 +373,7 @@ class TestSymmetricData:
         vertices = {data.x.context.generator(name).index for name in "ab"}
         assert all(sum(letter in vertices for letter in word) == 1 for word, _ in data.x.terms())
         dg = build_named_model("bigon-sym", order).differential["g"]
-        law = {1: 2, 2: 4, 3: 22, 5: 158, 7: 894, 9: 4606}
+        law = {1: 2, 2: 4, 3: 22, 5: 158, 7: 894, 9: 4606, 11: 22526}
         assert counts(dg) == [law.get(k, 0) for k in weights]
 
     def test_even_weights_vanish(self, symdata):
