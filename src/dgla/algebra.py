@@ -18,7 +18,8 @@ generator index.  Concatenation is a shift and an add, replacing a
 letter is a shift and a mask, and for words of one context the order of
 the integers is the canonical order (weight, then lexicographic).  The
 form is unique, so equality is a plain comparison, and every operation
-computes in integers: sums rescale to the lcm of the denominators,
+computes in integers: a sum merges two operands over the lcm of their
+denominators, sharing a bucket only one has if it needs no rescaling,
 products multiply numerators and denominators, and the product kernels
 pair only the weight buckets that fit under the truncation, as does
 :func:`_horner`, the one kernel behind every truncated series.  Three
@@ -306,12 +307,12 @@ class AlgebraElement:
     keeps what it finds.  An operation whose result degree follows from
     its inputs' known degrees sets it on a nonzero result, so no scan is
     needed: generators, scaling and negation, the product and
-    :func:`bracket`, sums (through ``_LinearSum``, when every summand has
-    the same known degree), :meth:`in_context` and :func:`apply_morphism`,
-    :func:`weight_component`, the right quotients by the letters, the filters
-    ``_ending_in`` and ``_terms_using``, the right-normed bracketing, the
-    Horner kernel by a degree-0 multiplier, and the Leibniz kernel of a
-    model's differential, which lowers it by one.
+    :func:`bracket`, sums (when every nonzero operand has the same known
+    degree), :meth:`in_context` and :func:`apply_morphism`,
+    :func:`weight_component`, the filters ``_ending_in`` and
+    ``_terms_using``, the right-normed bracketing, the Horner kernel by a
+    degree-0 multiplier, and the Leibniz kernel of a model's differential,
+    which lowers it by one.
     Only elements built from terms (:meth:`AlgebraContext.element`, the
     decoders) are scanned.
 
@@ -429,12 +430,26 @@ class AlgebraElement:
         return self._plus(-1, other)
 
     def _plus(self, sign: int, other: AlgebraElement) -> AlgebraElement:
-        # self + sign * other, over the lcm of the two denominators
+        # self + sign * other, over the lcm of the two denominators: a
+        # bucket only one operand has is shared when its scale is 1, and
+        # the sum keeps the degree its nonzero operands have in common
         self._require_same_context(other)
-        total = _LinearSum(self.context)
-        total.add(1, self)
-        total.add(sign, other)
-        return total.element()
+        den = math.lcm(self._den, other._den)
+        lift, scale = den // self._den, sign * (den // other._den)
+        out = []
+        for left, right in zip(self._buckets, other._buckets):
+            if not right:
+                out.append(left if lift == 1 or not left else {w: lift * n for w, n in left.items()})
+            elif not left:
+                out.append(right if scale == 1 else {w: scale * n for w, n in right.items()})
+            else:
+                total = dict(left) if lift == 1 else {w: lift * n for w, n in left.items()}
+                get = total.get
+                for w, n in right.items():
+                    total[w] = get(w, 0) + scale * n
+                out.append(total)
+        degrees = {y._degree for y in (self, other) if y}
+        return AlgebraElement(self.context, out, den, degrees.pop() if len(degrees) == 1 else None)
 
     def __neg__(self) -> AlgebraElement:
         return self._scaled(Fraction(-1))
@@ -557,13 +572,15 @@ def _product(x: AlgebraElement, y: AlgebraElement, top: int) -> AlgebraElement:
 
 def _letters(x: AlgebraElement, top: int) -> list[int]:
     """The generator indices that occur in the words of ``x`` of weight at
-    most ``top``, in ascending order."""
-    unpack = x.context._unpack
+    most ``top``, in ascending order: one pass per letter position of each
+    weight, until every generator is found."""
+    bits = x.context._bits
+    mask = (1 << bits) - 1
     every = len(x.context.generators)
     found: set[int] = set()
     for k, bucket in enumerate(x._buckets[: top + 1]):
-        for w in bucket:
-            found.update(unpack(w, k))
+        for shift in range(0, bits * k, bits):
+            found.update({w >> shift & mask for w in bucket})
             if len(found) == every:
                 return sorted(found)
     return sorted(found)
@@ -587,32 +604,6 @@ def _ending_in(x: AlgebraElement, letters: Collection[int]) -> AlgebraElement:
     mask = (1 << context._bits) - 1
     out = [{w: n for w, n in bucket.items() if w & mask in letters} for bucket in x._buckets]
     return AlgebraElement(context, out, x._den, x._degree)
-
-
-def _right_quotients(x: AlgebraElement) -> list[AlgebraElement]:
-    """``x / l`` for every letter ``l``, indexed by generator, from one pass
-    that splits the words of ``x`` by their last letter and removes it.  A
-    weight-1 term would leave the empty word, which no element stores, so
-    only words of weight at least 2 contribute."""
-    context = x.context
-    bits = context._bits
-    mask = (1 << bits) - 1
-    letters = range(len(context.generators))
-    outs = [list(context._no_terms) for _ in letters]
-    for k in range(2, len(context._no_terms)):
-        if not x._buckets[k]:
-            continue
-        split: list[dict[int, int]] = [{} for _ in letters]
-        for w, n in x._buckets[k].items():
-            split[w & mask][w >> bits] = n
-        for out, terms in zip(outs, split):
-            if terms:
-                out[k - 1] = terms
-    degree = x._degree
-    return [
-        AlgebraElement(context, out, x._den, None if degree is None else degree - context._degrees[letter])
-        for letter, out in zip(letters, outs)
-    ]
 
 
 class _ChunkTable(dict):
@@ -705,20 +696,40 @@ def _relabel(
     return AlgebraElement(context, out, x._den, x._degree)
 
 
-def _odd_derivation(x: AlgebraElement, image: Callable[[str], AlgebraElement], top: int) -> AlgebraElement:
+def _odd_derivation(
+    x: AlgebraElement,
+    differential: Mapping[str, AlgebraElement],
+    top: int,
+    ending: Collection[int] | None = None,
+) -> AlgebraElement:
     """The odd derivation that sends each generator named ``name`` to
-    ``image(name)``, applied to ``x``, through weight ``top``.
+    ``differential[name]``, applied to ``x``, through weight ``top``; with
+    ``ending``, only its words that end in a letter of ``ending``.
 
     It acts letter by letter with the Koszul sign
-    ``D(uv) = (Du) v + (-1)^{|u|} u (Dv)``, and is asked only for the
-    images of the letters that occur in ``x``.  Each image is zero or of
-    degree one less than its letter's, as a model's differential is
+    ``D(uv) = (Du) v + (-1)^{|u|} u (Dv)``, and reads only the images of
+    the letters that occur in ``x``.  Each image is zero or of degree one
+    less than its letter's, as a model's differential is
     (:class:`~dgla.models.CellModel`), so when ``x`` has a known degree
     the result has that degree less one.
+
+    With ``ending`` the image of a word's last letter is cut to its words
+    that end in ``ending``, and the other letters are replaced only in the
+    words whose last letter is in ``ending``: replacing a letter before
+    the last keeps the last.  A word ``u l`` whose last letter ``l`` is
+    not in ``ending`` contributes ``(-1)^{|u|} u D(l)`` alone, and ``x``
+    must then be homogeneous, since ``|u| = |x| - |l|`` is read from its
+    degree.
     """
     context = x.context
-    images = {letter: image(context.generators[letter].name) for letter in _letters(x, top)}
+    images = {letter: differential[context.generators[letter].name] for letter in _letters(x, top)}
     shared = math.lcm(*(d._den for d in images.values()))
+    last_images = images  # of the last letter of a word
+    if ending is not None:
+        last_images = {letter: _ending_in(d, ending) for letter, d in images.items()}
+        # per last letter l, the parity of the letters before it, |x| - |l|
+        degree = x.homogeneous_degree() or 0
+        flips = [(degree - d) % 2 for d in context._degrees]
     bits = context._bits
     mask = (1 << bits) - 1
     parities = context._parities
@@ -726,16 +737,23 @@ def _odd_derivation(x: AlgebraElement, image: Callable[[str], AlgebraElement], t
     for k, bucket in enumerate(x._buckets[: top + 1]):
         if not bucket:
             continue
+        # The words whose every letter is replaced, and, with ``ending``,
+        # those that end outside it, whose last letter is replaced alone,
+        # their prefix's sign taken up front.
+        words, alone = bucket.items(), ()
+        if ending is not None:
+            alone = [(w, -n if flips[w & mask] else n) for w, n in words if w & mask not in ending]
+            words = [(w, n) for w, n in words if w & mask in ending]
         # Per letter position, the letter having s letters after it: its
         # shift, the shift and mask that cut the word around it, and per
         # letter the image terms that fit (weight m <= top - k + 1), as
         # (shift of the letters before, output bucket, image words
         # shifted up past the s letters after, numerators over `shared`).
         steps = []
-        for s in range(k - 1, -1, -1):
+        for s in range(k - 1 if words else 0, -1, -1):
             low = bits * s
             plan: list[list] = [[] for _ in context.generators]
-            for letter, d in images.items():
+            for letter, d in (last_images if s == 0 else images).items():
                 scale = shared // d._den
                 for m in range(1, top - k + 2):
                     if d._buckets[m]:
@@ -743,22 +761,22 @@ def _odd_derivation(x: AlgebraElement, image: Callable[[str], AlgebraElement], t
                         terms = [(u << low, n * scale) for u, n in d._buckets[m].items()]
                         plan[letter].append((bits * (m + s), target, target.get, terms))
             steps.append((low, low + bits, (1 << low) - 1, plan))
-        for word, a in bucket.items():
-            for low, high, tail_mask, plan in steps:
-                letter = word >> low & mask
-                replacements = plan[letter]
-                if replacements:
-                    head = (word >> high) - 1  # the letters before, sentinel cleared
-                    tail = word & tail_mask  # the letters after
-                    for shift, target, get, terms in replacements:
-                        base = (head << shift) + tail
-                        for u, b in terms:
-                            w = base + u
-                            target[w] = get(w, 0) + a * b
-                if parities[letter]:
-                    a = -a
-    degree = x._degree
-    return AlgebraElement(context, out, x._den * shared, None if degree is None else degree - 1)
+        for group, positions in ((words, steps), (alone, steps[-1:])):
+            for word, a in group:
+                for low, high, tail_mask, plan in positions:
+                    letter = word >> low & mask
+                    replacements = plan[letter]
+                    if replacements:
+                        head = (word >> high) - 1  # the letters before, sentinel cleared
+                        tail = word & tail_mask  # the letters after
+                        for shift, target, get, terms in replacements:
+                            base = (head << shift) + tail
+                            for u, b in terms:
+                                w = base + u
+                                target[w] = get(w, 0) + a * b
+                    if parities[letter]:
+                        a = -a
+    return AlgebraElement(context, out, x._den * shared, None if x._degree is None else x._degree - 1)
 
 
 def _horner(
@@ -768,8 +786,8 @@ def _horner(
     step: Callable[[list[Mapping[int, int]], _Buckets, _Buckets, int, int], None],
 ) -> AlgebraElement:
     """``sum_k table[k] S^k(start)`` as ``c_0 start + S(c_1 start + ...)``
-    for the step ``S`` by ``multiplier``: :func:`_times_right`,
-    :func:`_times_left` or :func:`_ad`.
+    for the step ``S`` by ``multiplier``: :func:`_add_products` (on the
+    right), :func:`_times_left` or :func:`_ad`.
 
     No element stores the empty word, so ``S`` raises the weight, and the
     inner sum that ``S`` is still applied to ``j`` times is kept through
@@ -803,10 +821,6 @@ def _horner(
 # The steps of _horner: scale * S(inner) added to out, through its length.
 
 
-def _times_right(out: list[Mapping[int, int]], inner: _Buckets, by: _Buckets, bits: int, scale: int) -> None:
-    _add_products(out, inner, by, bits, scale)
-
-
 def _times_left(out: list[Mapping[int, int]], inner: _Buckets, by: _Buckets, bits: int, scale: int) -> None:
     _add_products(out, by, inner, bits, scale)
 
@@ -815,55 +829,6 @@ def _ad(out: list[Mapping[int, int]], inner: _Buckets, by: _Buckets, bits: int, 
     # the bracket with a degree-0 multiplier: by * inner - inner * by
     _add_products(out, by, inner, bits, scale)
     _add_products(out, inner, by, bits, -scale)
-
-
-class _LinearSum:
-    """A running sum ``sum_k c_k x_k`` of elements with rational weights.
-
-    It holds integer numerators by weight over one denominator, the lcm
-    of the denominators added so far; the numerators are rescaled only
-    when that lcm grows.  :meth:`element` reduces the sum once, at the
-    end, and the element takes over the sum's dicts: nothing is added
-    after it.  It carries a degree when every nonzero summand has the
-    same known degree.
-    """
-
-    __slots__ = ("context", "den", "buckets", "degrees")
-
-    def __init__(self, context: AlgebraContext) -> None:
-        self.context = context
-        self.den = 1
-        self.buckets = list(context._no_terms)
-        self.degrees: set[int | None] = set()  # of the nonzero summands; None when unknown
-
-    def add(self, scalar: int | Fraction, x: AlgebraElement) -> None:
-        """Add ``scalar * x``."""
-        term_den = scalar.denominator * x._den
-        den = math.lcm(self.den, term_den)
-        buckets = self.buckets
-        if den != self.den:
-            grow = den // self.den
-            for k, total in enumerate(buckets):
-                if total:
-                    buckets[k] = {w: n * grow for w, n in total.items()}
-            self.den = den
-        scale = scalar.numerator * (den // term_den)
-        if scale and any(x._buckets):
-            self.degrees.add(x._degree)
-        for k, bucket in enumerate(x._buckets):
-            if not bucket:
-                continue
-            total = buckets[k]
-            if not total:
-                buckets[k] = dict(bucket) if scale == 1 else {w: scale * n for w, n in bucket.items()}
-                continue
-            get = total.get
-            for w, n in bucket.items():
-                total[w] = get(w, 0) + scale * n
-
-    def element(self) -> AlgebraElement:
-        degree = next(iter(self.degrees)) if len(self.degrees) == 1 else None
-        return AlgebraElement(self.context, self.buckets, self.den, degree)
 
 
 class GeneratorMorphism:

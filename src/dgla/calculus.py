@@ -18,12 +18,12 @@ Lie element is ``sum c_{w,p} ad_{w1}...ad_{wk}(p)`` over the vertices
 is one product rather than a bracket.  The symmetric midpoint is
 computed that way; :func:`flow` keeps the tensor route and is the
 independent one.  The coordinates of a differential ``D(y)``, its
-words that end in a vertex, come from the right Fox rule without
-expanding ``D(y)``; the midpoint flow and the 2-cell's ``D^2 = 0``
-check in :mod:`dgla.models` both read them that way.  The
-multi-argument Baker-Campbell-Hausdorff element is computed as the
-logarithm of a product of exponentials, so its output is a Lie element
-weight by weight whenever the inputs are;
+words that end in a vertex, come from the Leibniz kernel that extends
+every differential, asked for those words alone; the midpoint flow and
+the 2-cell's ``D^2 = 0`` check in :mod:`dgla.models` both read them
+that way.  The multi-argument Baker-Campbell-Hausdorff element is
+computed as the logarithm of a product of exponentials, so its output
+is a Lie element weight by weight whenever the inputs are;
 :func:`dgla.algebra.is_primitive` certifies that independently at
 every weight, by the Dynkin-Specht-Wever bracketing.
 
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import TYPE_CHECKING, Collection, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .algebra import (
     AlgebraContext,
@@ -48,17 +48,13 @@ from .algebra import (
     ContextMismatchError,
     GradingError,
     _ad,
+    _add_products,
     _as_fraction,
     _ending_in,
     _horner,
-    _LinearSum,
     _odd_derivation,
-    _product,
-    _right_quotients,
     _times_left,
-    _times_right,
     bracket,
-    weight_component,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -190,7 +186,7 @@ def _binomial(alpha: Fraction, order: int) -> list[Fraction]:
 def _power_series(z: AlgebraElement, tables: Sequence[Sequence[Fraction]]) -> list[AlgebraElement]:
     # sum_k table[k] z^(k + 1) for every table, one Horner pass of right
     # multiplications by z per table
-    return [_horner(z, z, table, _times_right) for table in tables]
+    return [_horner(z, z, table, _add_products) for table in tables]
 
 
 def exp_assoc(x: AlgebraElement) -> AlgebraElement:
@@ -294,7 +290,7 @@ def extend_differential(model: "CellModel", x: AlgebraElement) -> AlgebraElement
     if x.context != model.context:
         raise ModelError("element does not belong to the model's context")
     x.homogeneous_degree()  # raises on mixed input
-    return _odd_derivation(x, model.differential.__getitem__, model.context.max_weight)
+    return _odd_derivation(x, model.differential, model.context.max_weight)
 
 
 def maurer_cartan_defect(model: "CellModel", p: AlgebraElement) -> AlgebraElement:
@@ -344,30 +340,6 @@ def flow(
     return start + apply_operator_series(table, direction, source)
 
 
-def _ending_differential(
-    model: "CellModel", y: AlgebraElement, vertices: Collection[int], top: int
-) -> AlgebraElement:
-    # The words of D(y) that end in a vertex, through weight top, by the
-    # right Fox rule, for a homogeneous y of degree d.  Every word of y is
-    # (y / l) l for its last letter l, or a weight-1 term, so D(y) is
-    # D(y_1) for the weight-1 part y_1 of y plus the sum over the letters
-    # l of D(y / l) l + (-1)^(d - |l|) (y / l) D(l): the first product
-    # ends in a vertex exactly when l is one, the second where D(l) does.
-    context = model.context
-    degree = y.homogeneous_degree() or 0
-    differential = model.differential.__getitem__
-    out = _LinearSum(context)
-    out.add(1, _ending_in(_odd_derivation(weight_component(y, 1), differential, top), vertices))
-    for g, quotient in zip(context.generators, _right_quotients(y)):
-        if not quotient:
-            continue
-        if g.index in vertices:
-            out.add(1, _odd_derivation(quotient, differential, top - 1) * context.gen(g.name))
-        image = _ending_in(differential(g.name), vertices)
-        out.add(-1 if (degree - g.degree) % 2 else 1, _product(quotient, image, top))
-    return out.element()
-
-
 def _vertex_flows(
     model: "CellModel",
     direction: AlgebraElement,
@@ -380,11 +352,12 @@ def _vertex_flows(
     # The model is a 1-complex, the direction lies in the Lie algebra of
     # the edges and the start is a degree -1 Lie element.  Coordinates
     # are the words that end in a vertex (algebra._right_normed maps
-    # them back), and those of D(direction) come from the right Fox rule.
+    # them back), and those of D(direction) come from the Leibniz kernel,
+    # which writes only those words.
     context = model.context
     vertices = {g.index for g in context.generators if g.degree == -1}
     initial = _ending_in(start, vertices)
-    source = _ending_differential(model, direction, vertices, context.max_weight) - direction * initial
+    source = _odd_derivation(direction, model.differential, context.max_weight, vertices) - direction * initial
     tables = [_integrator(t, context.max_weight) for t in times]
     pushed = [_horner(source, direction, table, _times_left) for table in tables]
     return [initial + p for p in pushed]

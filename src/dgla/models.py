@@ -53,6 +53,7 @@ from .algebra import (
     _ending_in,
     _expect_fields,
     _load_json,
+    _odd_derivation,
     _product,
     _right_normed,
     _terms_to_json,
@@ -65,7 +66,6 @@ from .algebra import (
 from .calculus import (
     ModelError,
     _binomial,
-    _ending_differential,
     _logarithm,
     _power_series,
     _require_degree,
@@ -484,10 +484,10 @@ def _model_checks(model: CellModel, attached: _CellPair | None = None) -> tuple[
     generate.  By Poincare-Birkhoff-Witt, multiplication ``T(M) (x)
     T(edges) -> T`` is bijective, so ``T+(M)`` meets the words that end
     in an edge only in 0 (Reutenauer, *Free Lie Algebras*, 1993).  The
-    vertex-ending parts come from the right Fox rule
-    (``calculus._ending_differential``): ``end(MC p) = end(Dp) + p
-    end(p)`` and, as ``h`` is a series in the edges, ``end(D_p h) =
-    end(Dh) - h end(p)``.
+    vertex-ending parts come from the Leibniz kernel asked for those words
+    alone (``algebra._odd_derivation`` with the vertex set): ``end(MC p) =
+    end(Dp) + p end(p)`` and, as ``h`` is a series in the edges,
+    ``end(D_p h) = end(Dh) - h end(p)``.
 
     When the guard fails or either part is nonzero, the full ``D(Dg)``
     decides the check and is its witness, so every failure's witness is
@@ -533,8 +533,8 @@ def _cell_square_vanishes(model: CellModel, attached: _CellPair) -> bool:
         return False
     vertices = {g.index for g in others if g.degree == -1}
     ending = _ending_in(p, vertices)
-    flatness = _ending_differential(model, p, vertices, order - 1) + _product(p, ending, order - 1)
-    closure = _ending_differential(model, h, vertices, order) - h * ending
+    flatness = _odd_derivation(p, model.differential, order - 1, vertices) + _product(p, ending, order - 1)
+    closure = _odd_derivation(h, model.differential, order, vertices) - h * ending
     return not flatness and not closure
 
 

@@ -40,8 +40,8 @@ from dgla.algebra import (
     _ad,
     _add_products,
     _ending_in,
+    _odd_derivation,
     _right_normed,
-    _right_quotients,
     _terms_to_json,
     _terms_using,
 )
@@ -116,6 +116,11 @@ def assert_canonical(x):
     assert decode(encode(x)) == x
     if x._degree is not None:  # a carried degree is the one a scan of a fresh copy finds
         assert x._degree == AlgebraElement(x.context, x._buckets, x._den).homogeneous_degree()
+
+
+def snapshot(x):
+    """Copies of the stored denominator and buckets of ``x``."""
+    return x._den, [dict(bucket) for bucket in x._buckets]
 
 
 def signed_shuffle(context):
@@ -286,6 +291,26 @@ class TestLeibniz:
         # D^2 = 0: the second application cancels to zero
         assert extend_differential(model, got).is_zero()
 
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(-1, 1), st.data())
+    @pytest.mark.parametrize("order", range(1, 9))
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_words_ending_in_a_letter_set(self, name, order, degree, data):
+        # asked for the words that end in the vertices (or in any drawn
+        # letter set), the kernel writes those of the full Leibniz rule, at
+        # every truncation; the degrees -1, 0 and 1 put odd letters (the
+        # vertices and g) before the last letter, where their signs count
+        model = build_named_model(name, order)
+        ctx = model.context
+        vertices = {g.index for g in ctx.generators if g.degree == -1}
+        drawn = data.draw(st.sets(st.sampled_from(range(len(ctx.generators)))))
+        x = data.draw(graded_elements(ctx, degree))
+        for ending in (vertices, drawn):
+            for top in range(1, order + 1):
+                got = _odd_derivation(x, model.differential, top, ending)
+                assert got == _ending_in(_odd_derivation(x, model.differential, top), ending)
+            assert_canonical(got)
+
 
 class TestOperatorSeries:
     @KERNEL_SETTINGS
@@ -412,6 +437,7 @@ class TestHorner:
             _add_products(out, left, right, bits, scale)
 
         monkeypatch.setattr("dgla.algebra._add_products", recorded)
+        monkeypatch.setattr("dgla.calculus._add_products", recorded)  # the step of exp, log and BCH
         exp_assoc(e + f)  # eight coefficients, start of weight 1
         assert [top for top, _ in steps] == [2, 3, 4, 5, 6, 7, 8]
         assert all(heaviest <= top - 1 for top, heaviest in steps)
@@ -503,6 +529,8 @@ class TestCanonicalForm:
         direction = data.draw(graded_elements(ctx, 0, fractional=fractional))
         scalar = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=9))
         coeffs = data.draw(series_coefficients(order))
+        operands = [x, y, direction]
+        before = [snapshot(z) for z in operands]
         lower = AlgebraContext(LETTERS[: len(ctx.generators)], max_weight=order - 1)
         shuffle = signed_shuffle(ctx)
         shuffled = apply_morphism(GeneratorMorphism(ctx, shuffle), x)
@@ -524,13 +552,17 @@ class TestCanonicalForm:
             apply_operator_series(coeffs, direction, x),
         ]
         results += [weight_component(x, k) for k in range(1, order + 1)]
-        # the internal filters, quotients and bracketing carry degrees too
+        # the internal filters, derivation and bracketing carry degrees too
         odd = {g.index for g in ctx.generators if g.parity}
-        results += _right_quotients(x)
         results += [_ending_in(x, odd), _terms_using(x, odd), _right_normed(x)]
         if len(ctx.generators) <= 5:  # letters of the bigon models
             model = build_named_model("bigon-a", order)
-            results.append(extend_differential(model, x.in_context(model.context)))
+            moved = x.in_context(model.context)
+            vertices = {g.index for g in model.context.generators if g.degree == -1}
+            operands += [moved, *model.differential.values()]
+            before += [snapshot(z) for z in operands[3:]]
+            results.append(extend_differential(model, moved))
+            results.append(_odd_derivation(moved, model.differential, order, vertices))
         # into all nine letters (4 bits per letter), in the same order and
         # reversed, and back into the narrower context
         for wide in (AlgebraContext(LETTERS, order), AlgebraContext(LETTERS[::-1], order)):
@@ -540,6 +572,29 @@ class TestCanonicalForm:
             results.append(moved)
         for result in results:
             assert_canonical(result)
+        # sums share buckets and products write into buckets in place:
+        # no operation changed an operand's stored words
+        assert [snapshot(z) for z in operands] == before
+
+    def test_sums_of_disjoint_weights_and_zero(self):
+        # the bucket only one operand has is rescaled to the lcm (and
+        # negated for a difference), not shared; a zero summand keeps the
+        # other's degree, and x - x is zero with no degree
+        ctx = CONTEXTS[(3, 4)]
+        e, a = ctx.gen("e"), ctx.gen("a")
+        x = Fraction(1, 2) * e
+        y = Fraction(1, 3) * bracket(e, a)
+        for total, sign in ((x + y, 1), (x - y, -1), (y + x, 1)):
+            third = sign * Fraction(1, 3)
+            assert dict(total.terms()) == {(0,): Fraction(1, 2), (0, 1): third, (1, 0): -third}
+            assert_canonical(total)
+        assert (x + y)._degree is None and (y + y)._degree == -1
+        for total in (x + ctx.zero(), ctx.zero() + x, x - ctx.zero()):
+            assert total == x and total._degree == 0
+        assert (ctx.zero() - y) == -y and (ctx.zero() - y)._degree == -1
+        difference = y - y
+        assert difference.is_zero() and difference._degree is None
+        assert difference == ctx.zero()
 
     def test_a_sum_of_two_degrees_carries_none(self):
         # each summand carries its degree, the sum none: a scan finds both
