@@ -27,13 +27,11 @@ is a Lie element weight by weight whenever the inputs are;
 :func:`dgla.algebra.is_primitive` certifies that independently at
 every weight, by the Dynkin-Specht-Wever bracketing.
 
-Every scalar series but the logarithm's and the binomial series of
-``(1 + T)^alpha`` is read off the coefficients of ``e^{sT}`` before
-``T`` is specialized to ``ad`` of anything: the exponential's table,
-``(e^T - 1)/T`` and the flow integrator ``(1 - e^{-tT})/T`` are slices
-of it, and ``T/(e^T - 1)`` and ``T/(1 - e^{+-T})`` are reciprocals of
-such slices.  Several tables over the powers of one element take one
-Horner pass each.
+Every scalar series but the logarithm's is read off the coefficients
+of ``e^{sT}`` before ``T`` is specialized to ``ad`` of anything: the
+exponential's table, ``(e^T - 1)/T`` and the flow integrator
+``(1 - e^{-tT})/T`` are slices of it, and ``T/(e^T - 1)`` and
+``T/(1 - e^{+-T})`` are reciprocals of such slices.
 """
 
 from __future__ import annotations
@@ -175,20 +173,6 @@ def _logarithm(order: int) -> list[Fraction]:
     return [Fraction((-1) ** (k + 1), k) for k in range(1, order + 1)]
 
 
-def _binomial(alpha: Fraction, order: int) -> list[Fraction]:
-    # (1 + T)^alpha - 1 through T^order, from the coefficient of T
-    out = [Fraction(alpha)]
-    for k in range(2, order + 1):
-        out.append(out[-1] * (alpha - k + 1) / k)
-    return out
-
-
-def _power_series(z: AlgebraElement, tables: Sequence[Sequence[Fraction]]) -> list[AlgebraElement]:
-    # sum_k table[k] z^(k + 1) for every table, one Horner pass of right
-    # multiplications by z per table
-    return [_horner(z, z, table, _add_products) for table in tables]
-
-
 def exp_assoc(x: AlgebraElement) -> AlgebraElement:
     """The truncated exponential ``sum_{k>=1} x^k / k!``, unit dropped.
 
@@ -200,12 +184,12 @@ def exp_assoc(x: AlgebraElement) -> AlgebraElement:
     degree = x.homogeneous_degree()
     if degree is not None and degree % 2:
         raise GradingError(f"exponential of an odd element (degree {degree}) is undefined")
-    return _power_series(x, [_exponential(1, x.context.max_weight)[1:]])[0]
+    return _horner(x, x, _exponential(1, x.context.max_weight)[1:], _add_products)
 
 
 def log_assoc(z: AlgebraElement) -> AlgebraElement:
     """The truncated logarithm of ``1 + z``; inverse of :func:`exp_assoc`."""
-    return _power_series(z, [_logarithm(z.context.max_weight)])[0]
+    return _horner(z, z, _logarithm(z.context.max_weight), _add_products)
 
 
 def bch(xs: Sequence[AlgebraElement]) -> AlgebraElement:

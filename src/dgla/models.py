@@ -65,17 +65,13 @@ from .algebra import (
 )
 from .calculus import (
     ModelError,
-    _binomial,
-    _logarithm,
-    _power_series,
+    _exponential,
     _require_degree,
     _vertex_flows,
+    apply_operator_series,
     bch,
     edge_differential,
-    exp_assoc,
     extend_differential,
-    flow,
-    log_assoc,
     maurer_cartan_defect,
 )
 
@@ -304,18 +300,16 @@ def compute_symmetric_data(order: int = DEFAULT_ORDER) -> SymmetricBigonData:
     """Construct the symmetric midpoint data over the two-vertex circle.
 
     ``v`` interpolates the two edge directions symmetrically:
-    ``v = bch(-1/2 bch(e, f), e)``, so flowing by ``v`` for unit time
-    carries one vertex to the other.  The loop ``bch(e, f)`` and
-    ``exp(-1/2 bch(e, f))`` are two series in the powers of
-    ``exp(e) exp(f) - 1``, its logarithm and its inverse square root,
-    each one Horner pass, so only ``v`` takes a logarithm of its own.
+    ``v = bch(-1/2 bch(e, f), e)``, two :func:`~dgla.calculus.bch` calls,
+    so flowing by ``v`` for unit time carries one vertex to the other.
     ``x`` and ``q`` are the basepoint ``a`` and the holonomy
     ``bch(e, f)`` of ``bigon-a``, both flowed by ``v`` for time 1/2.
     The midpoint ``x`` is flowed in vertex-module
     coordinates (words ending in a vertex, each step a left
     multiplication by ``v``) and bracketed back; the degree-0 holonomy
-    flows to ``q = exp(-1/2 ad_v) bch(e, f)``, which spans the kernel of
-    the differential twisted by ``x``, with weight-1 part ``e + f``.
+    flows to ``q = exp(-1/2 ad_v) bch(e, f)``, summed in one Horner pass;
+    ``q`` spans the kernel of the differential twisted by ``x``, with
+    weight-1 part ``e + f``.
     One internal cross-check guards the construction, and it is the
     only :class:`RuntimeError` raised here: the coordinates of the
     unit-time flow of ``a`` by ``v``, from the same route as ``x``, must
@@ -326,17 +320,13 @@ def compute_symmetric_data(order: int = DEFAULT_ORDER) -> SymmetricBigonData:
     context = circle.context
     a, b = context.gen("a"), context.gen("b")
     half = Fraction(1, 2)
-    exp_e, exp_f = exp_assoc(context.gen("e")), exp_assoc(context.gen("f"))
-    # Two series in the powers of z = e^e e^f - 1 (the unit implicit) give
-    # the loop log(1 + z) = bch(e, f) and w = (1 + z)^(-1/2) - 1, which is
-    # e^(-loop/2) - 1, so that v = log((1 + w) e^e) = bch(-1/2 loop, e).
-    z = exp_e + exp_f + exp_e * exp_f
-    loop, w = _power_series(z, [_logarithm(order), _binomial(-half, order)])
-    v = log_assoc(w + exp_e + w * exp_e)
+    e = context.gen("e")
+    loop = bch([e, context.gen("f")])
+    v = bch([-half * loop, e])
     midpoint, unit_time = _vertex_flows(circle, v, a, (half, 1))
     if unit_time != b:
         raise RuntimeError("unit-time flow by the midpoint direction misses the far vertex")
-    q = flow(circle, v, loop, half)
+    q = apply_operator_series(_exponential(-half, order), v, loop)
     return SymmetricBigonData(v=v, x=_right_normed(midpoint), q=q)
 
 

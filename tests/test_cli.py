@@ -477,6 +477,24 @@ class TestEntryPoint:
         result = run_subprocess("verify", "bigon-a", "--morphism", "sigma", "--order", "4")
         assert result.returncode == 1
 
+    def test_import_does_no_work(self):
+        # every CLI request is a fresh process that imports dgla, so a table
+        # or model built at import time would cost every request
+        code = """
+import json
+import dgla, dgla.algebra, dgla.calculus, dgla.cli, dgla.models
+caches = {}
+for module in (dgla, dgla.algebra, dgla.calculus, dgla.models, dgla.cli):
+    for name, value in vars(module).items():
+        if callable(getattr(value, "cache_info", None)):
+            caches[f"{value.__module__}.{value.__qualname__}"] = value.cache_info().currsize
+print(json.dumps(caches))
+"""
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        caches = json.loads(result.stdout)
+        assert caches and all(size == 0 for size in caches.values()), caches
+
     @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("stdout", ["closed", "full", "broken-pipe"])
     def test_stdout_failure(self, stdout, buffered):

@@ -31,9 +31,11 @@ from dgla import (
     decode_model,
     encode,
     encode_model,
+    exp_assoc,
     extend_differential,
     flow,
     is_primitive,
+    log_assoc,
     maurer_cartan_defect,
     symmetry_morphism,
     twisted_differential,
@@ -43,6 +45,7 @@ from dgla import (
 from dgla.algebra import AlgebraContext
 from dgla.calculus import _vertex_flows
 from dgla.models import MODEL_NAMES, CellModel
+from oracles import naive_power_series
 
 
 class TestOneComplex:
@@ -332,20 +335,36 @@ class TestSymmetricData:
 
     @pytest.mark.parametrize("order", range(1, 11))
     def test_kernel_element_bch_form(self, order):
-        # q is computed as a flow of bch(e, f); the 4-argument bch of the
-        # conjugation e^{-v/2} e^e e^f e^{v/2} is the independent route
+        # q is computed as exp(-1/2 ad_v) bch(e, f); the 4-argument bch of
+        # the conjugation e^{-v/2} e^e e^f e^{v/2} is an independent route
         data = compute_symmetric_data(order)
         ctx = data.q.context
         half_v = Fraction(1, 2) * data.v
         assert data.q == bch([-half_v, ctx.gen("e"), ctx.gen("f"), half_v])
 
     @pytest.mark.parametrize("order", range(1, 11))
+    def test_kernel_element_flow_form(self, order):
+        # the tensor-route flow of the holonomy bch(e, f) for time 1/2, by
+        # the fused pass over [bch(e, f), v], is another
+        data = compute_symmetric_data(order)
+        circle = build_named_model("circle2", order)
+        e, f = circle.context.gen("e"), circle.context.gen("f")
+        assert data.q == flow(circle, data.v, bch([e, f]), Fraction(1, 2))
+
+    @pytest.mark.parametrize("order", range(1, 11))
     def test_direction_bch_form(self, order):
-        # v comes from the same series in the powers of e^e e^f - 1 as the loop;
-        # the nested bch is the independent route
+        # v is computed as bch(-1/2 bch(e, f), e); the independent route is
+        # v = log((1 + w) e^e) with 1 + w = (1 + z)^(-1/2) = e^{-bch(e, f)/2}
+        # and z = e^e e^f - 1, the unit kept implicit throughout
         data = compute_symmetric_data(order)
         e, f = data.v.context.gen("e"), data.v.context.gen("f")
-        assert data.v == bch([Fraction(-1, 2) * bch([e, f]), e])
+        exp_e, exp_f = exp_assoc(e), exp_assoc(f)
+        z = exp_e + exp_f + exp_e * exp_f
+        binomial = [Fraction(-1, 2)]  # (1 + T)^(-1/2) - 1, from the coefficient of T
+        for k in range(2, order + 1):
+            binomial.append(binomial[-1] * (Fraction(-1, 2) - k + 1) / k)
+        w = naive_power_series(binomial, z)
+        assert data.v == log_assoc(w + exp_e + w * exp_e)
 
     def test_unit_time_check_rejects_a_missed_vertex(self, monkeypatch):
         # the one runtime cross-check: the unit-time coordinates must be b's
